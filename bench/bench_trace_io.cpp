@@ -1,9 +1,10 @@
 // Ablation: trace I/O throughput — the substrate behind Table II's "trace
 // reading" row (the paper's dominant cost: 44 s - 2911 s).
 //
-// Measures binary write, binary read (materializing), binary streaming
-// (the larger-than-memory path) and CSV read on scaled case A, reporting
-// events/second so the full-size cost can be extrapolated.
+// Measures binary write, binary read (the Trace facade and the sealed
+// store behind it), binary streaming (the larger-than-memory path) and CSV
+// read on scaled case A, reporting events/second so the full-size cost can
+// be extrapolated.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -60,6 +61,19 @@ void BM_BinaryRead(benchmark::State& state) {
                               f.scenario.trace.event_count()));
 }
 BENCHMARK(BM_BinaryRead);
+
+// The path the engine uses: the columnar parallel load into a sealed store.
+void BM_BinaryReadStore(benchmark::State& state) {
+  auto& f = fixture();
+  for (auto _ : state) {
+    const auto store = read_binary_trace_store(f.bin_path);
+    benchmark::DoNotOptimize(store->state_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              f.scenario.trace.event_count()));
+}
+BENCHMARK(BM_BinaryReadStore);
 
 void BM_BinaryStream(benchmark::State& state) {
   auto& f = fixture();

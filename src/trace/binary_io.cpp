@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/mapped_file.hpp"
+#include "common/thread_pool.hpp"
 #include "trace/stream_decode.hpp"
 
 namespace stagg {
@@ -128,6 +130,40 @@ TraceFileInfo read_header(std::FILE* f, const std::string& path) {
     info.states.intern(read_string(f, path));
   }
   return info;
+}
+
+void require_chunk_records(std::size_t chunk_records) {
+  if (chunk_records == 0) {
+    throw InvalidArgument("chunk_records must be at least 1");
+  }
+}
+
+/// Offset of the record section (the read position right after the
+/// tables), returned once the declared record count is known to fit the
+/// file.  The check divides instead of multiplying, before anything is
+/// sized from the count: a header declaring 2^61 records must fail as
+/// truncation, not overflow the byte arithmetic or die in an allocation.
+std::uint64_t checked_records_base(std::FILE* f, const TraceFileInfo& info,
+                                   const std::string& path) {
+  const long base = std::ftell(f);
+  if (base < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    throw IoError("seek failed on '" + path + "'");
+  }
+  const long size = std::ftell(f);
+  if (size < base || std::fseek(f, base, SEEK_SET) != 0) {
+    throw IoError("seek failed on '" + path + "'");
+  }
+  const auto records_base = static_cast<std::uint64_t>(base);
+  const std::uint64_t present =
+      (static_cast<std::uint64_t>(size) - records_base) / kRecordBytes;
+  if (info.record_count > present) {
+    throw TraceFormatError(
+        "truncated file '" + path + "' at offset " +
+        std::to_string(records_base + present * kRecordBytes) + " (" +
+        std::to_string(info.record_count) + " records declared, " +
+        std::to_string(present) + " present)");
+  }
+  return records_base;
 }
 
 // --- Chunk records (shared by chunk files and spill files) -----------------
@@ -551,6 +587,208 @@ struct MapCursor {
   void align8() { pos = (pos + 7) & ~std::size_t{7}; }
 };
 
+// --- Columnar STGT load ------------------------------------------------------
+
+/// One resource's columns under construction, sized exactly up front.
+struct ResourceColumns {
+  std::vector<TimeNs> begins;
+  std::vector<TimeNs> ends;
+  std::vector<StateId> states;
+};
+
+/// Sorts the columns by the total key unless they already are in order —
+/// write_binary_trace emits every resource sorted, so the check is
+/// normally the only pass.
+void sort_columns(ResourceColumns& cols) {
+  const std::size_t n = cols.begins.size();
+  const auto row = [&cols](std::size_t i) {
+    return StateInterval{cols.begins[i], cols.ends[i], cols.states[i]};
+  };
+  std::size_t i = 1;
+  while (i < n && !interval_key_less(row(i), row(i - 1))) ++i;
+  if (i >= n) return;
+  std::vector<StateInterval> rows(n);
+  for (std::size_t k = 0; k < n; ++k) rows[k] = row(k);
+  std::sort(rows.begin(), rows.end(), interval_key_less);
+  for (std::size_t k = 0; k < n; ++k) {
+    cols.begins[k] = rows[k].begin;
+    cols.ends[k] = rows[k].end;
+    cols.states[k] = rows[k].state;
+  }
+}
+
+/// Freezes sorted columns into chunks of at most `chunk_records`
+/// intervals: the columns themselves when they fit one chunk, consecutive
+/// slices of them otherwise.
+void freeze_chunks(ResourceColumns& cols, std::size_t chunk_records,
+                   std::vector<TraceChunkPtr>& out) {
+  const std::size_t n = cols.begins.size();
+  if (n <= chunk_records) {
+    if (n != 0) {
+      out.push_back(std::make_shared<const TraceChunk>(
+          std::move(cols.begins), std::move(cols.ends),
+          std::move(cols.states)));
+    }
+    return;
+  }
+  const auto slice = [](const auto& column, std::size_t lo, std::size_t len) {
+    const auto first = column.begin() + static_cast<std::ptrdiff_t>(lo);
+    return std::vector(first, first + static_cast<std::ptrdiff_t>(len));
+  };
+  for (std::size_t lo = 0; lo < n; lo += chunk_records) {
+    const std::size_t len = std::min(chunk_records, n - lo);
+    out.push_back(std::make_shared<const TraceChunk>(
+        slice(cols.begins, lo, len), slice(cols.ends, lo, len),
+        slice(cols.states, lo, len)));
+  }
+}
+
+/// Fewest records worth a range task of their own.
+constexpr std::size_t kMinRangeRecords = std::size_t{1} << 12;
+/// Records per read of one range task (384 KiB buffers).
+constexpr std::size_t kReadBlockRecords = std::size_t{1} << 14;
+
+/// Reads records [first, last) of the record section at `records_base`
+/// through a private handle and a bounded buffer, and hands each one,
+/// checked by decode_stgt_record, to `body`.  Each range task reads its
+/// own bytes this way instead of mapping the file, so the load never holds
+/// more of the file in its address space than one buffer per task.
+template <class Body>
+void for_each_record(const std::string& path, std::uint64_t records_base,
+                     std::size_t first, std::size_t last,
+                     std::uint64_t resource_count, std::uint64_t state_count,
+                     const Body& body) {
+  if (first == last) return;
+  FilePtr f = open_file(path, "rb");
+  if (std::fseek(f.get(),
+                 static_cast<long>(records_base + first * kRecordBytes),
+                 SEEK_SET) != 0) {
+    throw IoError("seek failed on '" + path + "'");
+  }
+  std::vector<std::uint8_t> buf(std::min(last - first, kReadBlockRecords) *
+                                kRecordBytes);
+  for (std::size_t i = first; i < last;) {
+    const std::size_t len = std::min(last - i, kReadBlockRecords);
+    read_bytes(f.get(), buf.data(), len * kRecordBytes, path);
+    for (std::size_t k = 0; k < len; ++k, ++i) {
+      body(decode_stgt_record(buf.data() + k * kRecordBytes, resource_count,
+                              state_count, path,
+                              records_base + i * kRecordBytes));
+    }
+  }
+}
+
+/// Builds every resource's sealed chunks straight from the `n` records of
+/// the section at file offset `records_base`, adopting them into `store`
+/// (whose tables mirror the file's).  Two parallel passes over P
+/// record-aligned ranges: count records per (range, resource) while
+/// validating each one, then — after prefix sums fix every range's first
+/// slot per resource — scatter begin, end and state into exactly-sized
+/// per-resource columns in file order.  A final per-resource pass sorts
+/// only out-of-order resources and freezes each into chunks.  Heap peak:
+/// the final columns plus the O(P·R) count tables and P read buffers
+/// (and, transiently, the chunk slices of resources larger than a chunk).
+void load_stgt_columns(TraceStore& store, const std::string& path,
+                       std::uint64_t records_base, std::size_t n,
+                       std::size_t chunk_records) {
+  ThreadPool& pool = ThreadPool::shared();
+  const std::size_t resources = store.resource_count();
+  const std::uint64_t state_count = store.states().size();
+  const std::size_t ranges =
+      std::clamp<std::size_t>(n / kMinRangeRecords, 1, pool.size());
+  const auto range_begin = [n, ranges](std::size_t p) {
+    return p * (n / ranges) + std::min(p, n % ranges);
+  };
+  const auto per_range = [&pool, ranges](const auto& body) {
+    parallel_for_blocked(pool, ranges, 1,
+                         [&body](std::size_t lo, std::size_t hi) {
+                           for (std::size_t p = lo; p < hi; ++p) body(p);
+                         });
+  };
+  const auto range_records = [&](std::size_t p, const auto& body) {
+    for_each_record(path, records_base, range_begin(p), range_begin(p + 1),
+                    resources, state_count, body);
+  };
+  const std::size_t resource_grain =
+      std::max<std::size_t>(1, resources / (4 * pool.size()));
+
+  // Pass 1: validate and count.  A range stops at its first bad record;
+  // the lowest failing range reports, so the error always names the first
+  // bad record of the file, exactly as the streaming decoder would.
+  std::vector<std::vector<std::uint64_t>> counts(ranges);
+  std::vector<std::exception_ptr> errors(ranges);
+  per_range([&](std::size_t p) {
+    try {
+      std::vector<std::uint64_t> count(resources, 0);
+      range_records(p, [&count](const StgtRecord& rec) {
+        ++count[static_cast<std::size_t>(rec.resource)];
+      });
+      counts[p] = std::move(count);
+    } catch (...) {
+      errors[p] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+
+  // Prefix sums: each (range, resource) count becomes that range's first
+  // per-resource slot; the running total is the resource's size.
+  std::vector<std::uint64_t> totals(resources, 0);
+  for (std::size_t r = 0; r < resources; ++r) {
+    for (std::vector<std::uint64_t>& count : counts) {
+      const std::uint64_t c = count[r];
+      count[r] = totals[r];
+      totals[r] += c;
+    }
+  }
+  std::vector<ResourceColumns> columns(resources);
+  parallel_for(
+      resources,
+      [&](std::size_t r) {
+        const auto total = static_cast<std::size_t>(totals[r]);
+        columns[r].begins.resize(total);
+        columns[r].ends.resize(total);
+        columns[r].states.resize(total);
+      },
+      resource_grain);
+
+  // Pass 2: scatter in file order; counts[p] is range p's slot cursor per
+  // resource, so ranges write disjoint slots.  Records are re-checked
+  // rather than trusted: the file may have changed since pass 1, and the
+  // scatter must stay in bounds whatever it reads.
+  per_range([&](std::size_t p) {
+    std::vector<std::uint64_t>& slot = counts[p];
+    range_records(p, [&](const StgtRecord& rec) {
+      const auto r = static_cast<std::size_t>(rec.resource);
+      const auto at = static_cast<std::size_t>(slot[r]++);
+      ResourceColumns& cols = columns[r];
+      if (at >= cols.begins.size()) {
+        throw IoError("'" + path + "' changed while being loaded");
+      }
+      cols.begins[at] = rec.interval.begin;
+      cols.ends[at] = rec.interval.end;
+      cols.states[at] = rec.interval.state;
+    });
+  });
+
+  // Per resource: sort only what is out of order, then freeze.
+  std::vector<std::vector<TraceChunkPtr>> chunks(resources);
+  parallel_for(
+      resources,
+      [&](std::size_t r) {
+        sort_columns(columns[r]);
+        freeze_chunks(columns[r], chunk_records, chunks[r]);
+        columns[r] = {};
+      },
+      resource_grain);
+  for (std::size_t r = 0; r < resources; ++r) {
+    for (TraceChunkPtr& chunk : chunks[r]) {
+      store.adopt_chunk(static_cast<ResourceId>(r), std::move(chunk));
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t write_binary_trace(Trace& trace, const std::string& path) {
@@ -597,20 +835,25 @@ TraceFileInfo stream_binary_trace(
     const std::string& path,
     const std::function<void(std::span<const TraceRecord>)>& sink,
     std::size_t chunk_records) {
+  require_chunk_records(chunk_records);
   FilePtr f = open_file(path, "rb");
   TraceFileInfo info = read_header(f.get(), path);
-  const long records_base = std::ftell(f.get());
+  const std::uint64_t records_base =
+      checked_records_base(f.get(), info, path);
 
-  std::vector<std::uint8_t> buf(chunk_records * kRecordBytes);
+  // The buffers never outgrow the declared (and now file-bounded) record
+  // count: a huge chunk_records must not allocate more than the file holds.
+  const auto buffered = static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunk_records, info.record_count));
+  std::vector<std::uint8_t> buf(buffered * kRecordBytes);
   std::vector<TraceRecord> records;
-  records.reserve(chunk_records);
+  records.reserve(buffered);
 
   // The record section streams through the resumable byte-range decoder
   // (validation — id ranges, end >= begin, absolute error offsets — lives
   // there, shared with the pipeline's parallel shard decode).
   StgtRecordDecoder decoder(info.resource_paths.size(), info.states.size(),
-                            path,
-                            static_cast<std::uint64_t>(records_base));
+                            path, records_base);
   const StgtRecordSink record_sink = [&records](const StgtRecord& rec) {
     records.push_back(rec);
   };
@@ -798,55 +1041,38 @@ SpilledChunkRecord spill_chunk_to_file(const std::string& path,
 
 std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,
                                                     std::size_t chunk_records) {
-  // Chunk files open zero-copy: mapped columns are served in place instead
-  // of being rehydrated through the record tails.
+  require_chunk_records(chunk_records);
+  // Chunk files open zero-copy: mapped columns are served in place.
   if (is_chunk_file(path)) return open_chunk_file_store(path);
-  const TraceFileInfo info = read_binary_trace_info(path);
+  FilePtr f = open_file(path, "rb");
+  const TraceFileInfo info = read_header(f.get(), path);
+  const std::uint64_t records_base = checked_records_base(f.get(), info, path);
+  f.reset();
+
+  // File resource ids index the store's lanes directly, so the paths must
+  // register one-to-one: add_resource deduplicates, and a duplicate path in
+  // a corrupt file would silently shift every later id.
   auto store = std::make_shared<TraceStore>();
-  for (const auto& p : info.resource_paths) store->add_resource(p);
-  for (const auto& s : info.states.names()) store->states().intern(s);
-  std::uint64_t staged = 0;
-  stream_binary_trace(
-      path,
-      [&](std::span<const TraceRecord> chunk) {
-        for (const auto& rec : chunk) {
-          store->add_state(rec.resource, rec.interval.state,
-                           rec.interval.begin, rec.interval.end);
-        }
-        staged += chunk.size();
-        if (staged >= chunk_records) {
-          store->seal_chunk();
-          staged = 0;
-        }
-      },
-      chunk_records);
+  for (std::size_t i = 0; i < info.resource_paths.size(); ++i) {
+    if (static_cast<std::size_t>(
+            store->add_resource(info.resource_paths[i])) != i) {
+      throw TraceFormatError("duplicate resource path '" +
+                             info.resource_paths[i] + "' in '" + path + "'");
+    }
+  }
+  for (const std::string& name : info.states.names()) {
+    (void)store->states().intern(name);
+  }
+  load_stgt_columns(*store, path, records_base,
+                    static_cast<std::size_t>(info.record_count),
+                    chunk_records);
   store->set_window(info.window_begin, info.window_end);
   store->seal_chunk();
   return store;
 }
 
 Trace read_binary_trace(const std::string& path) {
-  // Chunk files come back as a facade over the zero-copy mapped store.
-  if (is_chunk_file(path)) return Trace(open_chunk_file_store(path));
-  // Register tables before records: decode the header once, then stream the
-  // records into the trace (ids in the file are dense and file-ordered, so
-  // they coincide with the registration order).
-  const TraceFileInfo info = read_binary_trace_info(path);
-  Trace out;
-  for (const auto& p : info.resource_paths) out.add_resource(p);
-  for (const auto& s : info.states.names()) out.states().intern(s);
-  stream_binary_trace(
-      path,
-      [&](std::span<const TraceRecord> chunk) {
-        for (const auto& rec : chunk) {
-          out.add_state(rec.resource, rec.interval.state, rec.interval.begin,
-                        rec.interval.end);
-        }
-      },
-      /*chunk_records=*/1 << 16);
-  out.set_window(info.window_begin, info.window_end);
-  out.seal();
-  return out;
+  return Trace(read_binary_trace_store(path));
 }
 
 }  // namespace stagg

@@ -9,9 +9,10 @@
 //   records:  record_count x { u32 resource | u32 state | i64 begin | i64 end }
 //
 // Records are 24 bytes; Table II's "trace size" column is reproduced from
-// this format.  The reader offers both a materializing API and a streaming
-// API (fixed-size chunks through a callback) so the microscopic model can be
-// built from traces larger than memory.
+// this format.  The reader offers both a loading API (a columnar parallel
+// load into a sealed store) and a streaming API (fixed-size chunks through
+// a callback) so the microscopic model can be built from traces larger
+// than memory.
 //
 // STGC — versioned columnar chunk files, the dariadb-style sealed-page
 // format an mmapped TraceStore reads in place (little-endian).
@@ -83,21 +84,32 @@ struct TraceFileInfo {
 /// The trace is sealed first if needed.
 std::uint64_t write_binary_trace(Trace& trace, const std::string& path);
 
-/// Reads a full trace file into memory.  Throws TraceFormatError/IoError.
+/// Reads a full trace file into memory: a Trace facade over
+/// read_binary_trace_store(path).  Throws TraceFormatError/IoError.
 [[nodiscard]] Trace read_binary_trace(const std::string& path);
 
-/// Streams a trace file into an immutable chunked store: records are
-/// appended to the resource tails and sealed every `chunk_records`
-/// records, so the result arrives pre-chunked and shared-ready (back it
-/// with TraceViews / a SessionManager) while peak mutable memory stays
-/// bounded by one record chunk plus the store's size-tiered compaction
-/// buffer.  The interval multiset — and therefore every model fold — is
-/// bit-identical to read_binary_trace.
+/// Loads an STGT file into an immutable, sealed chunked store that is
+/// shared-ready (back it with TraceViews / a SessionManager).  The load is
+/// columnar and parallel on ThreadPool::shared(): the declared record
+/// count is checked against the file size before anything is allocated,
+/// then P record-aligned ranges are read through bounded per-task buffers
+/// twice — to validate and count records per resource, then to scatter
+/// them into exactly-sized per-resource columns in file order.  A
+/// resource is sorted by the total key only when it is not already
+/// (write_binary_trace emits sorted resources), then cut into chunks of at
+/// most `chunk_records` intervals; the one final seal compacts lanes with
+/// more than TraceStore::kCompactionThreshold chunks.  Heap peak: the
+/// final columns plus O(P·R) count tables (R resources) and P read
+/// buffers.  A bad record fails with the streaming decoder's exact
+/// message, naming the first bad record of the file.  The interval
+/// multiset — and therefore every model fold — is that of the file,
+/// whatever the chunk layout.
 ///
 /// Chunk files (STGC) take a zero-copy path instead: the file is mmapped
 /// once and the store's chunks read the validated records in place
 /// (resident_chunk_bytes() == 0 — no rehydration), exactly as
-/// open_chunk_file_store does.  `chunk_records` only applies to STGT.
+/// open_chunk_file_store does.  `chunk_records` only applies to STGT;
+/// zero is rejected with InvalidArgument.
 [[nodiscard]] std::shared_ptr<TraceStore> read_binary_trace_store(
     const std::string& path, std::size_t chunk_records = 1 << 16);
 
@@ -146,8 +158,11 @@ struct SpilledChunkRecord {
 [[nodiscard]] TraceFileInfo read_binary_trace_info(const std::string& path);
 
 /// Streams the records of a trace file through `sink` in file order,
-/// `chunk_records` at a time.  Returns the decoded file info.  The spans
-/// passed to `sink` are only valid during the call.
+/// `chunk_records` at a time (at least 1; zero throws InvalidArgument).
+/// The record count is checked against the file size up front, and the
+/// buffers hold at most that many records, however large `chunk_records`
+/// is.  Returns the decoded file info.  The spans passed to `sink` are
+/// only valid during the call.
 TraceFileInfo stream_binary_trace(
     const std::string& path,
     const std::function<void(std::span<const TraceRecord>)>& sink,

@@ -166,33 +166,16 @@ StgtRecordDecoder::StgtRecordDecoder(std::uint64_t resource_count,
       context_(std::move(context)),
       base_offset_(base_offset) {}
 
+void throw_stgt_record_error(const char* what, const std::string& context,
+                             std::uint64_t offset) {
+  throw TraceFormatError(std::string(what) + " in '" + context +
+                         "' at offset " + std::to_string(offset));
+}
+
 void StgtRecordDecoder::emit(const std::uint8_t* record,
                              const StgtRecordSink& sink) {
-  std::uint32_t ur = 0, ux = 0;
-  TimeNs begin = 0, end = 0;
-  std::memcpy(&ur, record, 4);
-  std::memcpy(&ux, record + 4, 4);
-  std::memcpy(&begin, record + 8, 8);
-  std::memcpy(&end, record + 16, 8);
-  // Built only on the throw paths: the happy path of a 10^8-record ingest
-  // must not allocate per record.
-  const auto offset_str = [&] {
-    return " in '" + context_ + "' at offset " +
-           std::to_string(base_offset_ + decoded_ * kRecordBytes);
-  };
-  if (ur >= resource_count_) {
-    throw TraceFormatError("record references unknown resource" +
-                           offset_str());
-  }
-  if (ux >= state_count_) {
-    throw TraceFormatError("record references unknown state" + offset_str());
-  }
-  if (end < begin) {
-    throw TraceFormatError("record with end < begin" + offset_str());
-  }
-  const StgtRecord rec{static_cast<ResourceId>(ur),
-                       StateInterval{begin, end, static_cast<StateId>(ux)}};
-  sink(rec);
+  sink(decode_stgt_record(record, resource_count_, state_count_, context_,
+                          base_offset_ + decoded_ * kRecordBytes));
   ++decoded_;
 }
 

@@ -7,8 +7,9 @@
 // whatever slice of the stream it was handed next, and receives records as
 // soon as they complete — a record split across two feeds carries over
 // transparently.  The whole-file readers are thin shims over these
-// decoders (one loop feeding fixed-size buffers), so both paths decode —
-// and reject malformed input — identically.
+// decoders (one loop feeding fixed-size buffers) or, for the columnar STGT
+// store load, call the same per-record check (decode_stgt_record), so
+// every path decodes — and rejects malformed input — identically.
 //
 // Decoded events travel between pipeline stages as EventBatch messages:
 // id-resolved records (the parse workers resolve names against the frozen
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -111,6 +113,46 @@ struct StgtRecord {
 };
 
 using StgtRecordSink = std::function<void(const StgtRecord&)>;
+
+/// Throws the TraceFormatError of a rejected STGT record: `what` plus the
+/// file context and the record's absolute offset.  Out of line, so the
+/// happy path of decode_stgt_record never builds a string.
+[[noreturn]] void throw_stgt_record_error(const char* what,
+                                          const std::string& context,
+                                          std::uint64_t offset);
+
+/// Decodes and validates one 24-byte STGT record found at absolute file
+/// offset `offset`: resource and state ids must lie below the table sizes
+/// and end >= begin.  The one record check behind both StgtRecordDecoder
+/// and binary_io's columnar whole-file load, so both reject the same
+/// records with byte-identical messages.
+inline StgtRecord decode_stgt_record(const std::uint8_t* record,
+                                     std::uint64_t resource_count,
+                                     std::uint64_t state_count,
+                                     const std::string& context,
+                                     std::uint64_t offset) {
+  std::uint32_t ur = 0;
+  std::uint32_t ux = 0;
+  TimeNs begin = 0;
+  TimeNs end = 0;
+  std::memcpy(&ur, record, 4);
+  std::memcpy(&ux, record + 4, 4);
+  std::memcpy(&begin, record + 8, 8);
+  std::memcpy(&end, record + 16, 8);
+  if (ur >= resource_count) {
+    throw_stgt_record_error("record references unknown resource", context,
+                            offset);
+  }
+  if (ux >= state_count) {
+    throw_stgt_record_error("record references unknown state", context,
+                            offset);
+  }
+  if (end < begin) {
+    throw_stgt_record_error("record with end < begin", context, offset);
+  }
+  return {static_cast<ResourceId>(ur),
+          StateInterval{begin, end, static_cast<StateId>(ux)}};
+}
 
 /// Resumable decoder over byte ranges of an STGT *record section* (the
 /// fixed 24-byte records after the header and tables).  Feed slices in

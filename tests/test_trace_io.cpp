@@ -140,6 +140,37 @@ TEST_F(TraceIoTest, BinaryHugeResourceCountFailsLoudlyNotByAllocation) {
   }
 }
 
+TEST_F(TraceIoTest, ZeroChunkRecordsIsRejected) {
+  Trace t = make_sample();
+  write_binary_trace(t, file("a.stgt"));
+  // A zero-record chunk used to make the stream loop spin forever.
+  EXPECT_THROW(stream_binary_trace(
+                   file("a.stgt"), [](std::span<const TraceRecord>) {}, 0),
+               InvalidArgument);
+  EXPECT_THROW((void)read_binary_trace_store(file("a.stgt"), 0),
+               InvalidArgument);
+}
+
+TEST_F(TraceIoTest, HugeChunkRecordsIsClampedToTheRecordCount) {
+  Trace t = make_sample();
+  write_binary_trace(t, file("a.stgt"));
+  // 2^40 records of buffer would be 24 TiB: the buffers must be sized by
+  // the file's record count instead.
+  const std::size_t huge = std::size_t{1} << 40;
+  std::size_t calls = 0;
+  std::size_t records = 0;
+  stream_binary_trace(
+      file("a.stgt"),
+      [&](std::span<const TraceRecord> chunk) {
+        ++calls;
+        records += chunk.size();
+      },
+      huge);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(records, 4u);
+  EXPECT_EQ(read_binary_trace_store(file("a.stgt"), huge)->state_count(), 4u);
+}
+
 TEST_F(TraceIoTest, MissingFileThrowsIoError) {
   EXPECT_THROW((void)read_binary_trace(file("missing.stgt")), IoError);
   EXPECT_THROW((void)read_csv_trace(file("missing.csv")), IoError);

@@ -23,6 +23,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -1280,6 +1282,235 @@ TEST(TraceStoreIo, EvictBeforeMidStreamPreservesSuffixWindows) {
       build_model(read, h, opt),
       build_model(TraceView(store, opt.window_begin, opt.window_end), h, opt),
       "post-evict suffix window");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Columnar STGT load on hand-built files: record order, corruption and
+// lying headers are under the test's control, byte for byte.
+// ---------------------------------------------------------------------------
+
+struct RawRecord {
+  std::uint32_t resource = 0;
+  std::uint32_t state = 0;
+  TimeNs begin = 0;
+  TimeNs end = 0;
+};
+
+/// Writes an STGT file with the records in the given order and returns the
+/// record section's file offset.  `declared_count` overrides the header's
+/// record count (a lying header); by default it is records.size().
+std::uint64_t write_raw_stgt(const std::string& path,
+                             const std::vector<std::string>& resources,
+                             const std::vector<std::string>& states,
+                             TimeNs window_end,
+                             const std::vector<RawRecord>& records,
+                             std::optional<std::uint64_t> declared_count = {}) {
+  std::vector<std::uint8_t> bytes;
+  const auto append_pod = [&](const auto& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof v);
+  };
+  const auto append_string = [&](const std::string& s) {
+    append_pod(static_cast<std::uint32_t>(s.size()));
+    bytes.insert(bytes.end(), s.begin(), s.end());
+  };
+  const char magic[8] = {'S', 'T', 'G', 'T', 'R', 'C', '0', '1'};
+  bytes.insert(bytes.end(), magic, magic + 8);
+  append_pod(static_cast<std::uint64_t>(resources.size()));
+  append_pod(static_cast<std::uint64_t>(states.size()));
+  append_pod(TimeNs{0});
+  append_pod(window_end);
+  append_pod(declared_count.value_or(records.size()));
+  for (const std::string& r : resources) append_string(r);
+  for (const std::string& s : states) append_string(s);
+  const std::uint64_t records_base = bytes.size();
+  for (const RawRecord& rec : records) {
+    append_pod(rec.resource);
+    append_pod(rec.state);
+    append_pod(rec.begin);
+    append_pod(rec.end);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return records_base;
+}
+
+/// Records interleaved across resources and unsorted within each (edge
+/// timing: zero durations and exact duplicates included).  The tests ask
+/// for 20 000, which span several load ranges on a multi-core host.
+std::vector<RawRecord> make_shuffled_records(std::size_t resources,
+                                             std::size_t count,
+                                             TimeNs span) {
+  SplitMix64 mix(0x5EED);
+  std::vector<RawRecord> records;
+  records.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    RawRecord rec;
+    rec.resource = static_cast<std::uint32_t>(mix.next() % resources);
+    rec.state = static_cast<std::uint32_t>(mix.next() % 3);
+    rec.begin = static_cast<TimeNs>(mix.next() % static_cast<std::uint64_t>(span));
+    const TimeNs d = mix.next() % 8 == 0
+                         ? 0
+                         : static_cast<TimeNs>(mix.next() % (span / 16));
+    rec.end = rec.begin + d;
+    records.push_back(rec);
+    if (mix.next() % 16 == 0) records.push_back(rec);  // exact duplicate
+  }
+  return records;
+}
+
+TEST(TraceStoreIo, ColumnarLoadOfInterleavedUnsortedRecordsMatchesStreaming) {
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  std::vector<std::string> resources;
+  for (LeafId leaf = 0; leaf < static_cast<LeafId>(h.leaf_count()); ++leaf) {
+    resources.push_back(h.path(h.leaf_node(leaf)));
+  }
+  const TimeNs span = seconds(10.0);
+  const std::vector<RawRecord> records =
+      make_shuffled_records(resources.size(), 20000, span);
+  const std::string path = temp_path("shuffled");
+  write_raw_stgt(path, resources, {"a", "b", "c"}, span, records);
+
+  // Expected rows: each resource's records sorted by the total key.
+  std::vector<std::vector<StateInterval>> expected(resources.size());
+  for (const RawRecord& rec : records) {
+    expected[rec.resource].push_back(
+        {rec.begin, rec.end, static_cast<StateId>(rec.state)});
+  }
+  for (auto& row : expected) {
+    std::sort(row.begin(), row.end(), interval_key_less);
+  }
+  // Fold oracle: the streaming fold of the canonical file of the same
+  // multiset.  (Streaming the shuffled file itself sums each resource in
+  // file order, so its cells can differ from any sorted fold in the last
+  // ulp; the store's fold depends only on the multiset.)
+  Trace canonical;
+  for (const std::string& name : {"a", "b", "c"}) {
+    (void)canonical.states().intern(name);
+  }
+  for (const std::string& r : resources) canonical.add_resource(r);
+  for (const RawRecord& rec : records) {
+    canonical.add_state(static_cast<ResourceId>(rec.resource),
+                        static_cast<StateId>(rec.state), rec.begin, rec.end);
+  }
+  canonical.set_window(0, span);
+  const std::string canonical_path = temp_path("shuffled_canonical");
+  write_binary_trace(canonical, canonical_path);
+  ModelBuildOptions opt;
+  opt.slice_count = 30;
+  const MicroscopicModel streamed =
+      build_model_streaming(canonical_path, h, opt);
+  std::remove(canonical_path.c_str());
+
+  for (const std::size_t chunk_records :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{0}}) {
+    const std::string context =
+        "chunk_records " + (chunk_records == 0 ? std::string("default")
+                                               : std::to_string(chunk_records));
+    const auto store = chunk_records == 0
+                           ? read_binary_trace_store(path)
+                           : read_binary_trace_store(path, chunk_records);
+    EXPECT_NO_THROW(store->audit()) << context;
+    EXPECT_EQ(store->state_count(), records.size()) << context;
+    for (std::size_t r = 0; r < resources.size(); ++r) {
+      EXPECT_LE(store->chunks(static_cast<ResourceId>(r)).size(),
+                TraceStore::kCompactionThreshold)
+          << context;
+    }
+    EXPECT_EQ(stream_all(TraceView(store)), expected) << context;
+    expect_models_equal(streamed, build_model(TraceView(store), h, opt),
+                        context);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreIo, ColumnarLoadReportsTheFirstBadRecordOfTheFile) {
+  const std::vector<std::string> resources = {"r0", "r1", "r2"};
+  std::vector<RawRecord> records =
+      make_shuffled_records(resources.size(), 20000, seconds(1.0));
+  const std::size_t early = 5;
+  const std::size_t late = records.size() - 3;  // in the last load range
+  records[early].state = 99;                    // unknown state
+  records[late].end = records[late].begin - 1;  // end < begin
+  const std::string path = temp_path("corrupt");
+  const std::uint64_t base =
+      write_raw_stgt(path, resources, {"a", "b", "c"}, seconds(1.0), records);
+
+  const auto error_of = [](const auto& read) {
+    try {
+      read();
+    } catch (const TraceFormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto store_error = [&] {
+    return error_of([&] { (void)read_binary_trace_store(path); });
+  };
+  const auto stream_error = [&] {
+    return error_of([&] {
+      stream_binary_trace(path, [](std::span<const TraceRecord>) {});
+    });
+  };
+  // Exactly the streaming decoder's message, naming the lower offset.
+  EXPECT_EQ(store_error(),
+            "trace format error: record references unknown state in '" +
+                path + "' at offset " +
+                std::to_string(base + early * StgtRecordDecoder::kRecordBytes));
+  EXPECT_EQ(store_error(), stream_error());
+
+  // With the early record repaired, the last range's error surfaces.
+  records[early].state = 0;
+  write_raw_stgt(path, resources, {"a", "b", "c"}, seconds(1.0), records);
+  EXPECT_EQ(store_error(),
+            "trace format error: record with end < begin in '" + path +
+                "' at offset " +
+                std::to_string(base + late * StgtRecordDecoder::kRecordBytes));
+  EXPECT_EQ(store_error(), stream_error());
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreIo, DuplicateResourcePathIsRejected) {
+  // File ids index the store's lanes: a duplicate path must not merge two
+  // lanes and shift every later id.
+  const std::string path = temp_path("duplicate_path");
+  const std::vector<RawRecord> records = {RawRecord{2, 0, 0, 10}};
+  write_raw_stgt(path, {"r0", "r1", "r0"}, {"s"}, 10, records);
+  try {
+    (void)read_binary_trace_store(path);
+    ADD_FAILURE() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate resource path 'r0'"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Also a seed of the chunk_file fuzz corpus
+// (fuzz/corpus/regressions/chunk_file/huge_record_count.bin).
+TEST(TraceStoreIo, HugeRecordCountFailsAsTruncationNotAllocation) {
+  const std::string path = temp_path("huge_count");
+  const std::vector<RawRecord> one = {RawRecord{0, 0, 0, 10}};
+  write_raw_stgt(path, {"r"}, {"s"}, 10, one, std::uint64_t{1} << 61);
+  const auto expect_truncation = [&](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "expected TraceFormatError";
+    } catch (const TraceFormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+      EXPECT_NE(what.find("offset"), std::string::npos) << what;
+    }
+  };
+  expect_truncation([&] { (void)read_binary_trace_store(path); });
+  expect_truncation([&] { (void)read_binary_trace_store(path, 1); });
+  expect_truncation([&] {
+    stream_binary_trace(path, [](std::span<const TraceRecord>) {},
+                        std::size_t{1} << 40);
+  });
   std::remove(path.c_str());
 }
 
