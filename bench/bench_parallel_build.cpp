@@ -1,15 +1,23 @@
 // Ablation: the preprocess substrate of Table II — microscopic-model
-// construction and cube build — timed end to end, plus thread-pool
-// scaling of the model build (parallel over resources).
+// construction and cube build — timed end to end on the shared thread pool
+// (the model build is parallel over resources).
 //
-// On single-core CI machines the scaling section degenerates to 1 thread;
-// the bench still validates that the parallel path produces identical
-// tensors (checksummed) at every pool size.
+// BM_ModelBuildStore times the path an offline analysis takes (TraceStore
+// -> TraceView -> build_model) and reports the fold rate.  Before its first
+// timed run it checks that build gives the tensor bit for bit as
+// build_model_streaming over the same trace written to an STGT file, and
+// aborts on a mismatch.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 
 #include "common/thread_pool.hpp"
 #include "core/cube.hpp"
 #include "model/builder.hpp"
+#include "trace/binary_io.hpp"
 #include "workload/scenarios.hpp"
 
 namespace stagg {
@@ -32,6 +40,55 @@ void BM_ModelBuild(benchmark::State& state) {
       static_cast<double>(g.trace.event_count());
 }
 BENCHMARK(BM_ModelBuild);
+
+/// One-time equivalence gate: the store fold and the streaming fold of the
+/// same trace must agree bit for bit.
+void check_store_matches_streaming(GeneratedScenario& g,
+                                   const MicroscopicModel& from_store) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      "stagg_bench_parallel_build.stgt";
+  write_binary_trace(g.trace, path.string());
+  const MicroscopicModel streamed =
+      build_model_streaming(path.string(), *g.hierarchy, {.slice_count = 30});
+  std::filesystem::remove(path);
+  const auto a = from_store.raw();
+  const auto b = streamed.raw();
+  if (a.size() != b.size() ||
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+    std::fprintf(stderr,
+                 "bench_parallel_build: build_model over a TraceView and "
+                 "build_model_streaming disagree\n");
+    std::abort();
+  }
+}
+
+/// Scaled case-C (NAS-LU, 700 processes) trace: the leaf count and state
+/// mix of an lu_overview analysis at 1/256 of its events.
+GeneratedScenario& lu_scenario() {
+  static GeneratedScenario g = generate_scenario(scenario_c(), 1.0 / 256.0);
+  return g;
+}
+
+void BM_ModelBuildStore(benchmark::State& state) {
+  auto& g = lu_scenario();
+  g.trace.seal();
+  const TraceView view(g.trace.store());
+  [[maybe_unused]] static const bool checked = [&] {
+    check_store_matches_streaming(
+        g, build_model(view, *g.hierarchy, {.slice_count = 30}));
+    return true;
+  }();
+  for (auto _ : state) {
+    const MicroscopicModel model =
+        build_model(view, *g.hierarchy, {.slice_count = 30});
+    benchmark::DoNotOptimize(model.raw().data());
+  }
+  state.counters["fold_mevents_per_s"] = benchmark::Counter(
+      static_cast<double>(view.selected_count()) / 1e6,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ModelBuildStore)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ModelBuildSliceCount(benchmark::State& state) {
   auto& g = shared_scenario();

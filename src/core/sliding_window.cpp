@@ -165,6 +165,7 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
         build.window_end = grid.end();
         return build_model(make_view(grid), hierarchy, build);
       }()),
+      leaf_of_(map_leaves()),
       agg_(model_, options.aggregation),
       ps_(std::move(ps)) {
   results_ = agg_.run_incremental(ps_);
@@ -228,6 +229,7 @@ SlidingWindowSession::SlidingWindowSession(
         build.window_end = grid.end();
         return build_model(make_view(grid), hierarchy, build);
       }()),
+      leaf_of_(map_leaves()),
       agg_(model_, options_.aggregation),
       ps_(std::move(ps)) {
   results_ = agg_.run_incremental(ps_);
@@ -240,6 +242,15 @@ TraceView SlidingWindowSession::make_view(const TimeGrid& grid) const {
                      scope_paths_);
   }
   return TraceView(store_, grid.begin(), grid.end(), scope_, scope_paths_);
+}
+
+std::vector<LeafId> SlidingWindowSession::map_leaves() const {
+  if (scope_paths_ != nullptr) {
+    return map_resources(*scope_paths_, *hierarchy_, options_.match_by_path);
+  }
+  return map_resources(sharded_ != nullptr ? *sharded_->resource_paths_ptr()
+                                           : store_->resource_paths(),
+                       *hierarchy_, options_.match_by_path);
 }
 
 void SlidingWindowSession::enforce_memory_budget() {
@@ -341,8 +352,7 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
                       scope_paths_)
           : TraceView(store_, dirty_begin_ns, new_grid.end(), scope_,
                       scope_paths_);
-  refold_suffix(model_, dirty_view, *hierarchy_, first_dirty,
-                options_.match_by_path);
+  refold_suffix(model_, dirty_view, leaf_of_, first_dirty);
 
   // 4. Splice every derived structure and re-run the DP over the dirty
   // columns only.

@@ -222,6 +222,7 @@ class SlidingWindowSession {
   const std::vector<AggregationResult>& advance_to(const TimeGrid& new_grid,
                                                    std::int32_t dropped_front);
   [[nodiscard]] TraceView make_view(const TimeGrid& grid) const;
+  [[nodiscard]] std::vector<LeafId> map_leaves() const;
   /// Spills cold chunks down to options_.memory_budget_bytes (exclusive
   /// stores with a budget; no-op otherwise).
   void enforce_memory_budget();
@@ -242,6 +243,10 @@ class SlidingWindowSession {
   std::shared_ptr<const std::vector<std::string>> scope_paths_;
   Trace facade_;
   MicroscopicModel model_;
+  /// View resource -> hierarchy leaf, resolved once at attach: the
+  /// hierarchy and scope are fixed, and store resources are append-only,
+  /// so refold_suffix only has to check the view's resource count.
+  std::vector<LeafId> leaf_of_;
   SpatiotemporalAggregator agg_;
   std::vector<double> ps_;
   std::vector<AggregationResult> results_;

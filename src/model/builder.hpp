@@ -2,7 +2,9 @@
 // description" step).
 //
 // Each state interval is clipped against the slices it overlaps and its
-// overlap durations accumulated into d_x(s,t).  The fold consumes a
+// overlap durations accumulated into d_x(s,t).  One division-free kernel
+// does every fold: a per-build table of the |T|+1 slice edges plus a
+// forward-only slice cursor per resource.  The fold consumes a
 // TraceView — a zero-copy chunk-cursor selection of a shared TraceStore —
 // so any number of concurrent model builds (different windows, slice
 // counts, hierarchy scopes) read the same immutable chunks without copying
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,28 +61,24 @@ struct ModelBuildOptions {
     const std::string& trace_path, const Hierarchy& hierarchy,
     const ModelBuildOptions& options = {});
 
-/// Re-folds the view into the slice columns t >= first_dirty of an
-/// existing model (zeroing them first) — the ingest step of a
-/// sliding-window session after the window moved or events were appended.
-/// Intervals are clipped half-open against the model window, and
-/// contributions to each (leaf, slice, state) cell accumulate in the same
-/// per-resource sorted interval order as build_model, so the refolded
-/// columns are bit-identical to the corresponding columns of a fresh
-/// build over the same window.
-void refold_suffix(MicroscopicModel& model, const TraceView& view,
-                   const Hierarchy& hierarchy, SliceId first_dirty,
-                   bool match_by_path = true);
-
-/// Compatibility shim over a window-matched view of `trace`'s store.
-void refold_suffix(MicroscopicModel& model, Trace& trace,
-                   const Hierarchy& hierarchy, SliceId first_dirty,
-                   bool match_by_path = true);
-
-namespace detail {
-/// Maps trace resource ids to hierarchy leaves.  Exposed for tests.
+/// Maps view (or file) resources to hierarchy leaves: by path, or by index
+/// order when `match_by_path` is false.  Throws DimensionError unless the
+/// result is a bijection onto the leaves.
 [[nodiscard]] std::vector<LeafId> map_resources(
     const std::vector<std::string>& resource_paths, const Hierarchy& hierarchy,
     bool match_by_path);
-}  // namespace detail
+
+/// Re-folds the view into the slice columns t >= first_dirty of an
+/// existing model (zeroing them first) — the ingest step of a
+/// sliding-window session after the window moved or events were appended.
+/// `leaf_of` maps view resources to leaves (map_resources); a session
+/// computes it once at attach.  Intervals are clipped half-open against
+/// the model window, and contributions to each (leaf, slice, state) cell
+/// accumulate in the same per-resource sorted interval order as
+/// build_model, so the refolded columns are bit-identical to the
+/// corresponding columns of a fresh build over the same window.  Throws
+/// DimensionError when the view's resource count differs from the map's.
+void refold_suffix(MicroscopicModel& model, const TraceView& view,
+                   std::span<const LeafId> leaf_of, SliceId first_dirty);
 
 }  // namespace stagg

@@ -1,6 +1,7 @@
 #include "model/time_grid.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -8,20 +9,27 @@
 namespace stagg {
 
 TimeGrid::TimeGrid(TimeNs begin, TimeNs end, std::int32_t count)
-    : begin_(begin), end_(end), span_(end - begin), count_(count) {
+    : begin_(begin), end_(end), count_(count) {
   if (count < 1) throw InvalidArgument("TimeGrid: slice count must be >= 1");
   if (end <= begin) throw InvalidArgument("TimeGrid: empty window");
+  // Every edge is begin + span * t / count for t <= count, so span * count
+  // must fit in int64 (a hostile STGT header window reaches here).
+  if (__builtin_sub_overflow(end, begin, &span_) ||
+      span_ > std::numeric_limits<TimeNs>::max() / count) {
+    throw InvalidArgument("TimeGrid: window [" + std::to_string(begin) +
+                          ", " + std::to_string(end) + ") times " +
+                          std::to_string(count) +
+                          " slices overflows int64 edge arithmetic");
+  }
 }
 
 SliceId TimeGrid::slice_of(TimeNs time) const noexcept {
   if (time < begin_) return 0;
   if (time >= end_) return count_ - 1;
-  // Integer computation mirroring slice_begin (128-bit safe via long double
-  // avoided: span_ * count fits i64 for realistic traces, but guard anyway).
+  // Integer estimate mirroring slice_begin: (time - begin) < span, and the
+  // constructor guarantees span * count fits in int64.
   auto idx = std::clamp<SliceId>(
-      static_cast<SliceId>(static_cast<__int128>(time - begin_) * count_ /
-                           span_),
-      0, count_ - 1);
+      static_cast<SliceId>((time - begin_) * count_ / span_), 0, count_ - 1);
   // When span % count != 0 the floor above can land one slice off for
   // timestamps exactly on (or within the rounding slack of) a slice edge —
   // e.g. span 10, count 3: slice_begin(1) = 3 but 3*3/10 floors to 0.

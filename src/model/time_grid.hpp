@@ -21,7 +21,8 @@ class TimeGrid {
  public:
   TimeGrid() = default;
 
-  /// Throws InvalidArgument when count < 1 or end <= begin.
+  /// Throws InvalidArgument when count < 1, end <= begin, or the edge
+  /// arithmetic would overflow int64 ((end - begin) * count > INT64_MAX).
   TimeGrid(TimeNs begin, TimeNs end, std::int32_t count);
 
   [[nodiscard]] TimeNs begin() const noexcept { return begin_; }

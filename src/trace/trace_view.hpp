@@ -9,9 +9,10 @@
 //
 // for_each(r) streams resource r's selected intervals in (begin, end,
 // state) order: a single run degenerates to a linear scan, time-ordered
-// runs to sequential scans, and overlapping runs to a k-way merge — in all
-// cases the same unique sorted sequence a single-chunk store would yield,
-// which is what makes model folds bit-identical across chunk layouts.
+// runs to sequential scans (straight off the column spans for addressable
+// chunks), and overlapping runs to a k-way merge — in all cases the same
+// unique sorted sequence a single-chunk store would yield, which is what
+// makes model folds bit-identical across chunk layouts.
 //
 // Entries whose begin lies at or past t1 are pruned per run (begins are
 // sorted); entries ending at or before t0 are delivered and clip to
@@ -134,10 +135,21 @@ class TraceView {
     const auto& runs = runs_[r];
     if (runs.empty()) return;
     if (runs.size() == 1 || concat_ok_[r] != 0) {
-      // Time-ordered runs: sequential cursor scans (one decoder live at a
-      // time for compressed runs).
+      // Time-ordered runs: sequential scans.  Addressable runs read their
+      // column spans directly; compressed runs stream through a decoding
+      // cursor (one decoder live at a time).
       for (const Run& run : runs) {
-        for (ChunkCursor c(*run.chunk, run.size); c.valid(); c.next()) {
+        const TraceChunk& chunk = *run.chunk;
+        if (chunk.addressable()) {
+          const TimeNs* begins = chunk.begins().data();
+          const TimeNs* ends = chunk.ends().data();
+          const StateId* states = chunk.states().data();
+          for (std::size_t i = 0; i < run.size; ++i) {
+            f(StateInterval{begins[i], ends[i], states[i]});
+          }
+          continue;
+        }
+        for (ChunkCursor c(chunk, run.size); c.valid(); c.next()) {
           f(c.current());
         }
       }

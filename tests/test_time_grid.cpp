@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace stagg {
@@ -143,6 +145,28 @@ TEST(TimeGrid, InvalidConstruction) {
   EXPECT_THROW(TimeGrid(0, 100, 0), InvalidArgument);
   EXPECT_THROW(TimeGrid(100, 100, 5), InvalidArgument);
   EXPECT_THROW(TimeGrid(200, 100, 5), InvalidArgument);
+}
+
+// Regression: slice edges are begin + span * t / count, so a window whose
+// span * count exceeds INT64_MAX (or whose span itself overflows) used to
+// be accepted and then computed edges through signed overflow.
+TEST(TimeGrid, RejectsWindowsWhoseEdgeArithmeticOverflows) {
+  constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+  constexpr TimeNs kMin = std::numeric_limits<TimeNs>::min();
+  EXPECT_THROW(TimeGrid(0, TimeNs{1} << 62, 30), InvalidArgument);
+  EXPECT_THROW(TimeGrid(kMin, kMax, 1), InvalidArgument);
+  EXPECT_THROW(TimeGrid(-(TimeNs{1} << 62), TimeNs{1} << 62, 1),
+               InvalidArgument);
+  EXPECT_THROW(TimeGrid(0, kMax / 30 + 1, 30), InvalidArgument);
+
+  // The largest span that still fits keeps exact edges up to end().
+  const TimeGrid g(-5, -5 + kMax / 30, 30);
+  EXPECT_EQ(g.slice_begin(0), -5);
+  EXPECT_EQ(g.slice_end(29), g.end());
+  EXPECT_EQ(g.slice_of(g.end() - 1), 29);
+  EXPECT_EQ(g.slice_of(g.slice_begin(17)), 17);
+  const TimeGrid whole(0, kMax, 1);
+  EXPECT_EQ(whole.slice_end(0), kMax);
 }
 
 }  // namespace

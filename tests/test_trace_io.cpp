@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "hierarchy/hierarchy.hpp"
+#include "model/builder.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/csv_io.hpp"
 
@@ -138,6 +140,40 @@ TEST_F(TraceIoTest, BinaryHugeResourceCountFailsLoudlyNotByAllocation) {
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
   }
+}
+
+// An STGT header's window reaches TimeGrid unchecked beyond end >= begin:
+// a span whose slice-edge arithmetic overflows int64 must be rejected by
+// the streaming model build, not computed through signed overflow.
+TEST_F(TraceIoTest, StreamingBuildRejectsOverflowingHeaderWindow) {
+  Trace t = make_sample();
+  write_binary_trace(t, file("wide.stgt"));
+  {
+    // Header: magic (8), resource count (8), state count (8), then the
+    // window begin and end.
+    std::fstream fs(file("wide.stgt"),
+                    std::ios::binary | std::ios::in | std::ios::out);
+    const TimeNs begin = 0;
+    const TimeNs end = TimeNs{1} << 62;
+    fs.seekp(24);
+    fs.write(reinterpret_cast<const char*>(&begin), 8);
+    fs.write(reinterpret_cast<const char*>(&end), 8);
+  }
+  const TraceFileInfo info = read_binary_trace_info(file("wide.stgt"));
+  ASSERT_EQ(info.window_end, TimeNs{1} << 62);
+
+  HierarchyBuilder b("root");
+  const NodeId m0 = b.add(0, "m0");
+  b.add(m0, "c0");
+  b.add(m0, "c1");
+  const Hierarchy h = b.finish();
+  EXPECT_THROW(
+      (void)build_model_streaming(file("wide.stgt"), h, {.slice_count = 30}),
+      InvalidArgument);
+  // One slice keeps the edge arithmetic in range: the same file builds.
+  const MicroscopicModel m =
+      build_model_streaming(file("wide.stgt"), h, {.slice_count = 1});
+  EXPECT_EQ(m.grid().end(), TimeNs{1} << 62);
 }
 
 TEST_F(TraceIoTest, ZeroChunkRecordsIsRejected) {
