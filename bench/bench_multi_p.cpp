@@ -1,4 +1,4 @@
-// Bench: measure cache + lane-batched wavefront DP kernel on multi-p runs.
+// Bench: measure cache + lane-batched, screened DP kernel on multi-p runs.
 //
 // The intended workflow (Ocelotl-style exploration, find_significant_levels)
 // evaluates *many* trade-off parameters over the same trace.  The original
@@ -56,7 +56,7 @@ SweepTiming sweep(SpatiotemporalAggregator& agg, std::span<const double> ps,
 
 int run(int argc, const char* const* argv) {
   Cli cli("bench_multi_p",
-          "single-run and 32-probe p-sweep throughput: cached wavefront "
+          "single-run and 32-probe p-sweep throughput: cached lane "
           "kernel vs seed-style per-cell recomputation");
   cli.option("levels", "3", "hierarchy depth of the random model");
   cli.option("fanout", "4", "children per node");
@@ -102,7 +102,7 @@ int run(int argc, const char* const* argv) {
                  static_cast<double>(n_probes - 1));
   }
 
-  std::printf("=== Multi-p sweep: measure cache + wavefront kernel ===\n\n");
+  std::printf("=== Multi-p sweep: measure cache + lane kernel ===\n\n");
   const OwnedModel om = make_random_model(shape);
   std::printf("model: |S| = %zu leaves (%zu nodes), |T| = %d, |X| = %d, "
               "%zu probes\n\n",

@@ -241,6 +241,13 @@ struct i32x4 {
     }
     return a;
   }
+  /// Bit w set when lane w of a < lane w of b (signed).  The same 4-bit
+  /// lane mask as f64x4::ge_mask, so the two combine with plain & and |.
+  [[nodiscard]] int lt_mask(i32x4 b) const noexcept {
+    int m = 0;
+    for (int i = 0; i < 4; ++i) m |= static_cast<int>(v[i] < b.v[i]) << i;
+    return m;
+  }
 };
 
 struct i32x8 {
@@ -416,6 +423,10 @@ struct i32x4 {
 
   [[nodiscard]] friend i32x4 operator+(i32x4 a, i32x4 b) noexcept {
     return {_mm_add_epi32(a.v, b.v)};
+  }
+  [[nodiscard]] int lt_mask(i32x4 b) const noexcept {
+    // One sign bit per 32-bit lane, widened to the f64x4::ge_mask format.
+    return _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, b.v)));
   }
 };
 
@@ -601,6 +612,10 @@ struct i32x4 {
   [[nodiscard]] friend i32x4 operator+(i32x4 a, i32x4 b) noexcept {
     return {_mm_add_epi32(a.v, b.v)};
   }
+  [[nodiscard]] int lt_mask(i32x4 b) const noexcept {
+    // One sign bit per 32-bit lane, widened to the f64x4::ge_mask format.
+    return _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, b.v)));
+  }
 };
 
 struct i32x8 {
@@ -778,6 +793,13 @@ struct i32x4 {
 
   [[nodiscard]] friend i32x4 operator+(i32x4 a, i32x4 b) noexcept {
     return {vaddq_s32(a.v, b.v)};
+  }
+  [[nodiscard]] int lt_mask(i32x4 b) const noexcept {
+    const uint32x4_t lt = vcltq_s32(v, b.v);
+    return static_cast<int>((vgetq_lane_u32(lt, 0) & 1) |
+                            ((vgetq_lane_u32(lt, 1) & 1) << 1) |
+                            ((vgetq_lane_u32(lt, 2) & 1) << 2) |
+                            ((vgetq_lane_u32(lt, 3) & 1) << 3));
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -12,51 +11,6 @@
 #include "core/triangular_relocate.hpp"
 
 namespace stagg {
-namespace {
-
-/// Smallest double greater than finite x (inline bit increment;
-/// std::nextafter is a libm call, too slow for per-cell use).
-inline double next_up(double x) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof bits);
-  if (x >= 0.0) {
-    if (bits == 0x8000000000000000ull) bits = 0;  // -0.0 -> +0.0
-    ++bits;
-  } else {
-    --bits;
-  }
-  std::memcpy(&x, &bits, sizeof bits);
-  return x;
-}
-
-/// Conservative per-lane challenge threshold: every temporal-cut candidate
-/// v that can change lane state (best, cut, count) satisfies
-/// v >= challenge_threshold(best, best_count); candidates below it are
-/// skipped without evaluating the reference predicate at all, which is
-/// what makes the hot scan a bare add-and-compare.
-///
-/// Soundness: the reference kernel accepts iff
-///   v > best + eps  ||  (v >= best - eps && count < best_count),
-///   eps = 1e-12 + 1e-12 * max(|best|, |v|).
-/// - While best_count <= 2 the count tie-break can never fire (any cut's
-///   area count is >= 2), so a state change needs v > best + eps > best,
-///   i.e. v >= next_up(best) — exact, no epsilon analysis needed.
-/// - Otherwise any accepting v is within relative ~1e-12 of best (the
-///   |v|-dependent eps term matters only when |v| ~ |best|; solving
-///   v >= best - 1e-12*(1 + max(|best|,|v|)) for v in every sign case
-///   bounds v >= best - 2.1e-12 - 1.1e-12*|best|).  The 4e-12
-///   coefficients leave a ~2x margin that swallows every rounding error
-///   of both this expression and the reference predicate's.
-/// The threshold only rises when (best, best_count) tighten, so a value
-/// screened out once can never become a challenger later in the scan.
-inline double challenge_threshold(double best,
-                                  std::int32_t best_count) noexcept {
-  if (best_count <= 2) return next_up(best);
-  return best - (4e-12 + 4e-12 * std::abs(best));
-}
-
-}  // namespace
-
 SpatiotemporalAggregator::SpatiotemporalAggregator(
     const MicroscopicModel& model, AggregationOptions options)
     : model_(&model),
@@ -315,10 +269,8 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
       }
     }
     for (int w = 0; w < W; ++w) {
-      const double eps =
-          1e-12 + 1e-12 * std::max(std::abs(best[w]), std::abs(sum[w]));
-      if (sum[w] > best[w] + eps ||
-          (sum[w] >= best[w] - eps && count[w] < best_count[w])) {
+      if (detail::reference_accepts(best[w], best_count[w], sum[w],
+                                    count[w])) {
         best[w] = std::max(best[w], sum[w]);
         best_cut[w] = -1;
         best_count[w] = count[w];
@@ -331,22 +283,24 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   // the column-major mirror where column j is contiguous — with the lane
   // interleave both are flat W-wide streams.
   //
-  // Threshold scan (Filtered, the production kernel): each lane keeps the
-  // conservative challenge_threshold of its current (best, count) state,
-  // so the hot loop over cut positions is a bare add-and-compare per lane
-  // with no epsilon arithmetic at all; only cuts at or above a lane's
-  // threshold evaluate the reference kernel's exact accept-and-tie-break
-  // logic (same cut order, same operations — bit-identical), and the
-  // threshold is conservative, so no state-changing candidate is ever
-  // screened out.  The W lanes' independent compare chains are what the
+  // Screened scan (Filtered, the production kernel): each lane keeps the
+  // two bounds of the candidate screen (header comment) for its current
+  // (best, count) state.  The hot loop over cut positions is a bare
+  // add-and-compare against the loose floor per lane; only a cut above some
+  // lane's floor loads its area counts for the full screen, and only lanes
+  // passing that run the exact reference predicate (same cut order, same
+  // operations — bit-identical).  The screen never drops a state-changing
+  // candidate.  The W lanes' independent compare chains are what the
   // batching buys: one pass over the streams feeds W superscalar-parallel
   // per-lane pipelines, where the solo kernel re-walked the streams per
   // probe.  With Filtered = false (kCachedSolo, the PR 1 formulation)
-  // every cut evaluates the reference challenge directly.
-  double thr[Filtered ? W : 1];
+  // every cut evaluates the reference predicate directly.
+  double loose_thr[Filtered ? W : 1];
+  double strict_thr[Filtered ? W : 1];
   if constexpr (Filtered) {
     for (int w = 0; w < W; ++w) {
-      thr[w] = challenge_threshold(best[w], best_count[w]);
+      loose_thr[w] = detail::screen_floor(best[w]);
+      strict_thr[w] = detail::screen_strict(best[w]);
     }
   }
   const double* left = scan.pic + row * W;
@@ -358,66 +312,74 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   const std::int32_t len = j - i;
 
   // Exact reference challenge of cut i+k against lane w's state.
-  const auto challenge = [&](std::int32_t k, int w, double v) {
-    const double eps =
-        1e-12 + 1e-12 * std::max(std::abs(best[w]), std::abs(v));
-    const bool strict = v > best[w] + eps;
-    if (!strict && !(v >= best[w] - eps)) return;
-    const std::int32_t count = left_cnt[static_cast<std::size_t>(k) * W + w] +
-                               right_cnt[static_cast<std::size_t>(k) * W + w];
-    if (strict || count < best_count[w]) {
-      best[w] = std::max(best[w], v);
-      best_cut[w] = i + k;
-      best_count[w] = count;
-      if constexpr (Filtered) {
-        thr[w] = challenge_threshold(best[w], best_count[w]);
-      }
+  const auto challenge = [&](std::int32_t k, int w, double v,
+                             std::int32_t count) {
+    if (!detail::reference_accepts(best[w], best_count[w], v, count)) return;
+    best[w] = std::max(best[w], v);
+    best_cut[w] = i + k;
+    best_count[w] = count;
+    if constexpr (Filtered) {
+      loose_thr[w] = detail::screen_floor(best[w]);
+      strict_thr[w] = detail::screen_strict(best[w]);
     }
   };
 
   for (std::int32_t k = 0; k < len; ++k) {
+    const std::size_t at = static_cast<std::size_t>(k) * W;
     if constexpr (Filtered) {
-      // Branch-free W-wide screen: candidate values and threshold
-      // comparisons for the whole wave are computed before any lane's
-      // challenge runs (the adds and compares vectorize over the
-      // lane-interleaved pIC and transposed count streams); only a wave
-      // with at least one passing lane enters the scalar challenge path.
-      // A lane's challenge can only move its own threshold, and the
-      // original scalar loop also compared lane w against thr[w] as it
-      // stood *before* cut k's challenges — so hoisting the compares
-      // never changes which cuts are evaluated, and results stay
-      // bit-identical.
+      // Branch-free W-wide screen: candidate values and screen masks for
+      // the whole wave are computed before any lane's challenge runs (the
+      // adds and compares vectorize over the lane-interleaved pIC and
+      // count streams).  A lane's challenge can only move its own bounds,
+      // and each lane is screened against its state before cut k — so
+      // hoisting the compares never changes which cuts are evaluated.
+      // The vector masks match the scalar compares exactly (ordered,
+      // quiet-NaN false; signed int32), so pass/fail decisions are
+      // identical in both twins.
       double v[W];
-      int any_pass = 0;
+      int loose = 0;
       if constexpr (kVec) {
-        // The screen adds are per-lane (independent chains) and the >=
-        // mask matches the scalar compare exactly (ordered, quiet-NaN
-        // false), so pass/fail decisions are identical; passing lanes
-        // still run the scalar challenge below in lane order.
         for (int w = 0; w < W; w += 4) {
-          const simd::f64x4 vv =
-              simd::f64x4::load(left + static_cast<std::size_t>(k) * W + w) +
-              simd::f64x4::load(right + static_cast<std::size_t>(k) * W + w);
+          const simd::f64x4 vv = simd::f64x4::load(left + at + w) +
+                                 simd::f64x4::load(right + at + w);
           vv.store(v + w);
-          any_pass |= vv.ge_mask(simd::f64x4::load(thr + w));
+          loose |= vv.ge_mask(simd::f64x4::load(loose_thr + w)) << w;
         }
       } else {
         for (int w = 0; w < W; ++w) {
-          v[w] = left[static_cast<std::size_t>(k) * W + w] +
-                 right[static_cast<std::size_t>(k) * W + w];
-          any_pass |= static_cast<int>(v[w] >= thr[w]);
+          v[w] = left[at + w] + right[at + w];
+          loose |= static_cast<int>(v[w] >= loose_thr[w]) << w;
         }
       }
-      if (any_pass != 0) {
-        for (int w = 0; w < W; ++w) {
-          if (v[w] >= thr[w]) challenge(k, w, v[w]);
+      if (loose == 0) continue;
+      std::int32_t count[W];
+      int pass = 0;
+      if constexpr (kVec) {
+        for (int w = 0; w < W; w += 4) {
+          const simd::i32x4 cc = simd::i32x4::load(left_cnt + at + w) +
+                                 simd::i32x4::load(right_cnt + at + w);
+          cc.store(count + w);
+          const int fewer = cc.lt_mask(simd::i32x4::load(best_count + w));
+          const int above = simd::f64x4::load(v + w).ge_mask(
+              simd::f64x4::load(strict_thr + w));
+          pass |= (above | (fewer & (loose >> w))) << w;
         }
+      } else {
+        for (int w = 0; w < W; ++w) {
+          count[w] = left_cnt[at + w] + right_cnt[at + w];
+          pass |= static_cast<int>(v[w] >= strict_thr[w] ||
+                                   (v[w] >= loose_thr[w] &&
+                                    count[w] < best_count[w]))
+                  << w;
+        }
+      }
+      for (int w = 0; w < W; ++w) {
+        if (((pass >> w) & 1) != 0) challenge(k, w, v[w], count[w]);
       }
     } else {
       for (int w = 0; w < W; ++w) {
-        const double v = left[static_cast<std::size_t>(k) * W + w] +
-                         right[static_cast<std::size_t>(k) * W + w];
-        challenge(k, w, v);
+        challenge(k, w, left[at + w] + right[at + w],
+                  left_cnt[at + w] + right_cnt[at + w]);
       }
     }
   }
@@ -452,57 +414,27 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
 
 template <int W, bool Filtered, bool Vec>
 void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
-                                                    bool wavefront,
                                                     SliceId first_dirty) {
+  // i descending / j ascending: a cell (i, j) reads (i, c) with c < j (this
+  // row, already swept — or a retained clean column) and (c+1, j) with
+  // c+1 > i (deeper rows, already swept).  Restricting j to the dirty
+  // columns therefore preserves every dependency: clean cells are read,
+  // never written.
   const SliceId n_t = tri_.slices();
-  if (!wavefront) {
-    // i descending / j ascending: a cell (i, j) reads (i, c) with c < j
-    // (this row, already swept — or a retained clean column) and (c+1, j)
-    // with c+1 > i (deeper rows, already swept).  Restricting j to the
-    // dirty columns therefore preserves every dependency: clean cells are
-    // read, never written.
-    for (SliceId i = n_t - 1; i >= 0; --i) {
-      for (SliceId j = std::max(i, first_dirty); j < n_t; ++j) {
-        compute_cell_lanes<W, Filtered, Vec>(scan, i, j);
-      }
+  for (SliceId i = n_t - 1; i >= 0; --i) {
+    for (SliceId j = std::max(i, first_dirty); j < n_t; ++j) {
+      compute_cell_lanes<W, Filtered, Vec>(scan, i, j);
     }
-    return;
-  }
-  // Wavefront sweep: all cells of equal interval length j - i are mutually
-  // independent (a cell only reads strictly shorter intervals), so each
-  // anti-diagonal is one parallel_for.  Used for single-node levels —
-  // notably the root — whose DP otherwise runs entirely serially.  Lane
-  // values of one cell are always computed by one task, so the schedule
-  // cannot affect results.  Dirty sweeps clip each anti-diagonal to the
-  // cells with j = i + len >= first_dirty.
-  for (SliceId i = std::max<SliceId>(0, first_dirty); i < n_t; ++i) {
-    compute_cell_lanes<W, Filtered, Vec>(scan, i, i);
-  }
-  const std::size_t threads =
-      std::max<std::size_t>(1, ThreadPool::shared().size());
-  for (SliceId len = 1; len < n_t; ++len) {
-    const SliceId i_lo = std::max<SliceId>(0, first_dirty - len);
-    if (i_lo >= n_t - len) continue;
-    const std::size_t n = static_cast<std::size_t>(n_t - len - i_lo);
-    const std::size_t grain = std::max<std::size_t>(16, n / (4 * threads));
-    parallel_for(
-        n,
-        [&](std::size_t k) {
-          const auto i = static_cast<SliceId>(i_lo + static_cast<SliceId>(k));
-          compute_cell_lanes<W, Filtered, Vec>(scan, i, i + len);
-        },
-        grain);
   }
 }
 
 void SpatiotemporalAggregator::compute_node_lanes(const LaneScan& scan,
-                                                  bool wavefront,
                                                   SliceId first_dirty) {
   // One instantiation per width keeps the per-cell lane loops at a
   // compile-time trip count the optimizer can unroll.  kCachedSolo (the
   // PR 1 kernel) always runs width 1, unfiltered.
   if (options_.kernel == DpKernel::kCachedSolo) {
-    compute_node_lanes_w<1, false, false>(scan, wavefront, first_dirty);
+    compute_node_lanes_w<1, false, false>(scan, first_dirty);
     return;
   }
   // Vector instantiations exist only at the widths divisible by the f64x4
@@ -511,19 +443,19 @@ void SpatiotemporalAggregator::compute_node_lanes(const LaneScan& scan,
   // twin — the baseline bench_simd measures against.
   const bool vec = options_.use_simd;
   switch (scan.lanes) {
-    case 1: compute_node_lanes_w<1, true, false>(scan, wavefront, first_dirty); break;
-    case 2: compute_node_lanes_w<2, true, false>(scan, wavefront, first_dirty); break;
-    case 3: compute_node_lanes_w<3, true, false>(scan, wavefront, first_dirty); break;
+    case 1: compute_node_lanes_w<1, true, false>(scan, first_dirty); break;
+    case 2: compute_node_lanes_w<2, true, false>(scan, first_dirty); break;
+    case 3: compute_node_lanes_w<3, true, false>(scan, first_dirty); break;
     case 4:
-      if (vec) compute_node_lanes_w<4, true, true>(scan, wavefront, first_dirty);
-      else compute_node_lanes_w<4, true, false>(scan, wavefront, first_dirty);
+      if (vec) compute_node_lanes_w<4, true, true>(scan, first_dirty);
+      else compute_node_lanes_w<4, true, false>(scan, first_dirty);
       break;
-    case 5: compute_node_lanes_w<5, true, false>(scan, wavefront, first_dirty); break;
-    case 6: compute_node_lanes_w<6, true, false>(scan, wavefront, first_dirty); break;
-    case 7: compute_node_lanes_w<7, true, false>(scan, wavefront, first_dirty); break;
+    case 5: compute_node_lanes_w<5, true, false>(scan, first_dirty); break;
+    case 6: compute_node_lanes_w<6, true, false>(scan, first_dirty); break;
+    case 7: compute_node_lanes_w<7, true, false>(scan, first_dirty); break;
     case 8:
-      if (vec) compute_node_lanes_w<8, true, true>(scan, wavefront, first_dirty);
-      else compute_node_lanes_w<8, true, false>(scan, wavefront, first_dirty);
+      if (vec) compute_node_lanes_w<8, true, true>(scan, first_dirty);
+      else compute_node_lanes_w<8, true, false>(scan, first_dirty);
       break;
     default: break;  // unreachable: lane_width clamps to kMaxDpLanes
   }
@@ -573,7 +505,7 @@ void SpatiotemporalAggregator::run_wave(std::span<const double> ps,
     }
   }
 
-  extract_wave_results(ps, out);
+  extract_wave_results(ps, out, options_.parallel);
 
   // Return the last two levels' buffers to the arena; nothing is freed, so
   // the next wave (same |T| and width) allocates nothing.
@@ -586,39 +518,35 @@ void SpatiotemporalAggregator::sweep_level(std::span<const NodeId> nodes,
                                            double gain_scale,
                                            double loss_scale,
                                            SliceId first_dirty) {
-  if (options_.parallel && nodes.size() > 1) {
-    parallel_for(
-        nodes.size(),
-        [&](std::size_t k) {
-          std::vector<const double*> child_pic;
-          std::vector<const std::int32_t*> child_cnt;
-          const LaneScan scan = make_scan(nodes[k], ps, gain_scale,
-                                          loss_scale, child_pic, child_cnt);
-          compute_node_lanes(scan, /*wavefront=*/false, first_dirty);
-        },
-        /*grain=*/1);
-  } else {
-    // A thin level (typically the single root node) cannot use sibling
-    // parallelism; sweep its anti-diagonals in parallel instead.  The
-    // wavefront runs on the caller thread, so it never nests pool waits.
+  const auto sweep = [&](std::size_t k) {
     std::vector<const double*> child_pic;
     std::vector<const std::int32_t*> child_cnt;
-    for (NodeId n : nodes) {
-      const LaneScan scan =
-          make_scan(n, ps, gain_scale, loss_scale, child_pic, child_cnt);
-      compute_node_lanes(scan, /*wavefront=*/options_.parallel, first_dirty);
-    }
+    const LaneScan scan =
+        make_scan(nodes[k], ps, gain_scale, loss_scale, child_pic, child_cnt);
+    compute_node_lanes(scan, first_dirty);
+  };
+  // A single-node level (notably the root) runs on the caller thread:
+  // splitting one node's triangle costs a pool dispatch per anti-diagonal,
+  // more than the node's whole serial sweep.
+  if (options_.parallel && nodes.size() > 1) {
+    parallel_for(nodes.size(), sweep, /*grain=*/1);
+  } else {
+    for (std::size_t k = 0; k < nodes.size(); ++k) sweep(k);
   }
 }
 
 void SpatiotemporalAggregator::extract_wave_results(
-    std::span<const double> ps, std::vector<AggregationResult>& out) {
+    std::span<const double> ps, std::vector<AggregationResult>& out,
+    bool parallel) {
   const Hierarchy& h = model_->hierarchy();
   const std::size_t lanes = ps.size();
   const std::size_t root_cell = tri_(0, tri_.slices() - 1);
   const auto root_idx = static_cast<std::size_t>(h.root());
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    AggregationResult result;
+  const std::size_t base = out.size();
+  out.resize(base + lanes);
+  // Lanes only read the finished DP matrices and write their own result.
+  const auto extract = [&](std::size_t lane) {
+    AggregationResult& result = out[base + lane];
     result.p = ps[lane];
     result.optimal_pic = pic_[root_idx][root_cell * lanes + lane];
     extract_partition(result.partition, lane, lanes);
@@ -627,7 +555,11 @@ void SpatiotemporalAggregator::extract_wave_results(
       result.measures += area_measures(a.node, a.time.i, a.time.j);
     }
     fill_quality(result);
-    out.push_back(std::move(result));
+  };
+  if (parallel && lanes > 1) {
+    parallel_for(lanes, extract, /*grain=*/1);
+  } else {
+    for (std::size_t lane = 0; lane < lanes; ++lane) extract(lane);
   }
 }
 
@@ -756,7 +688,9 @@ void SpatiotemporalAggregator::run_wave_incremental(
     }
   }
 
-  extract_wave_results(ps, out);
+  // Serial: SessionManager already advances sessions in parallel, and a
+  // live window's partitions are too small to repay a pool dispatch.
+  extract_wave_results(ps, out, /*parallel=*/false);
 
   // Return the matrices to the retained checkpoint for the next advance.
   for (std::size_t n = 0; n < node_count; ++n) {
@@ -880,9 +814,7 @@ void SpatiotemporalAggregator::compute_node_reference(NodeId node, double p,
 
       const auto challenge = [&](double v, std::int32_t count,
                                  std::int32_t cut) {
-        const double eps =
-            1e-12 + 1e-12 * std::max(std::abs(best), std::abs(v));
-        if (v > best + eps || (v >= best - eps && count < best_count)) {
+        if (detail::reference_accepts(best, best_count, v, count)) {
           best = std::max(best, v);
           best_cut = cut;
           best_count = count;

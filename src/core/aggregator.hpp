@@ -8,10 +8,8 @@
 //                 cut == -1       spatial cut into the children of S_k
 //                 cut in [i, j)   temporal cut between slices cut and cut+1
 // Children are processed before parents (post-order); sibling subtrees are
-// independent and processed in parallel, level by level.  Inside a level
-// with a single node (notably the root, whose DP would otherwise run
-// serially), cells are swept by anti-diagonals: all intervals of equal
-// length j - i are mutually independent, so each wavefront is a parallel_for.
+// independent and processed in parallel, level by level.  A level with a
+// single node (notably the root) is swept serially on the caller thread.
 //
 // Complexity: the p-independent gain/loss of every cell is computed once
 // into a MeasureCache — O(|S|·|T|²·|X|), shared by all subsequent runs —
@@ -34,14 +32,33 @@
 //   v[lane]    = left_pic[lane] + right_pic[lane]             (temporal cut)
 // over W contiguous doubles: one pass over the shared p-independent
 // (gain, loss) cell and the cut-candidate streams feeds W independent
-// per-lane compare chains (superscalar-parallel, with a conservative
-// per-lane challenge threshold keeping the epsilon tie-break arithmetic
-// off the hot path) where the solo kernel re-walked the streams and
-// re-derived the epsilon bounds once per probe.
+// per-lane compare chains (superscalar-parallel, with a per-lane candidate
+// screen keeping the epsilon tie-break arithmetic off the hot path) where
+// the solo kernel re-walked the streams and re-derived the epsilon bounds
+// once per probe.
+//
+// Candidate screen: a temporal cut v with area count `count` can only
+// change a lane's state (best, best_count) if
+//   v >= best + 0.5e-12 * (1 + |best|)                            (strict)
+//   || (v >= best - 4e-12 * (1 + |best|) && count < best_count)   (tie)
+// (detail::screen_passes).  The hot loop compares v with the loose tie
+// bound only; cuts above it take the full screen, and cuts passing that
+// run the exact reference predicate, detail::reference_accepts
+// (eps = 1e-12 + 1e-12 * max(|best|, |v|)).  Soundness:
+// - strict: the reference needs v > best + eps, and eps >= 1e-12 *
+//   (1 + |best|) is twice the strict margin; rounding is monotone, so the
+//   computed best + eps never falls below the computed strict bound.
+// - tie: any v >= best - eps lies within ~1.1e-12 * (1 + |best|) of best
+//   in every sign case, well inside the 4e-12 bound, and the reference
+//   also needs count < best_count.
+// Every cut has count >= 2, so while best_count <= 2 only the strict
+// branch can pass.  Near ties — a sub-interval whose optimum is a fine
+// partition, where every cut gives the same pIC up to rounding — thus
+// cost an integer compare per lane, not the reference predicate.
 //
 // Bit-identity guarantee: each lane performs exactly the reference kernel's
 // arithmetic (same expressions, same operand order, same epsilon-guarded
-// tie-breaking; the threshold screen provably never drops a state-changing
+// tie-breaking; the candidate screen provably never drops a state-changing
 // candidate), so every lane of every wave is bit-identical in pIC and
 // identical in partition to a solo DpKernel::kReference run at that p —
 // regardless of lane width, wave grouping, duplicate parameters, or arena
@@ -58,6 +75,8 @@
 // even though the microscopic partition is equally optimal.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -72,14 +91,15 @@
 namespace stagg {
 
 /// DP kernel selection.  kCachedWavefront is the production kernel
-/// (MeasureCache + lane batching + threshold-filtered scan + wavefront +
-/// pooled buffers).  kCachedSolo is the previous generation (measure
-/// cache + wavefront, one probe per DP sweep, per-cut epsilon evaluation —
-/// the PR 1 kernel), kept as the lane-batching bench baseline and a fast
-/// second equivalence oracle.  kReference recomputes every cell's measures
-/// from the cube and frees its buffers after each run — the original
-/// per-cell formulation and the primary equivalence-test oracle.  All
-/// three produce bit-identical pIC values and identical partitions.
+/// (MeasureCache + lane batching + screened candidate scan + pooled
+/// buffers; it no longer sweeps anti-diagonals despite its name).
+/// kCachedSolo is the previous generation (measure cache, one probe per DP
+/// sweep, per-cut epsilon evaluation), kept as the lane-batching bench
+/// baseline and a fast second equivalence oracle.  kReference recomputes
+/// every cell's measures from the cube and frees its buffers after each
+/// run — the original per-cell formulation and the primary
+/// equivalence-test oracle.  All three produce bit-identical pIC values
+/// and identical partitions.
 enum class DpKernel : std::uint8_t {
   kCachedWavefront,
   kCachedSolo,
@@ -91,14 +111,47 @@ enum class DpKernel : std::uint8_t {
 /// enough for full unrolling at every instantiated width.
 inline constexpr std::size_t kMaxDpLanes = 8;
 
+namespace detail {
+
+/// The reference kernel's accept predicate for a challenger (v, count)
+/// against the state (best, best_count); every kernel decides state
+/// changes with this one expression.
+[[nodiscard]] inline bool reference_accepts(double best,
+                                            std::int32_t best_count,
+                                            double v,
+                                            std::int32_t count) noexcept {
+  const double eps = 1e-12 + 1e-12 * std::max(std::abs(best), std::abs(v));
+  return v > best + eps || (v >= best - eps && count < best_count);
+}
+
+/// Loose (tie) bound of the candidate screen.
+[[nodiscard]] inline double screen_floor(double best) noexcept {
+  return best - 4e-12 * (1.0 + std::abs(best));
+}
+
+/// Strict bound of the candidate screen.
+[[nodiscard]] inline double screen_strict(double best) noexcept {
+  return best + 0.5e-12 * (1.0 + std::abs(best));
+}
+
+/// The candidate screen (header comment): true for every challenger
+/// reference_accepts(best, best_count, v, count) accepts.
+[[nodiscard]] inline bool screen_passes(double best, std::int32_t best_count,
+                                        double v,
+                                        std::int32_t count) noexcept {
+  return v >= screen_strict(best) ||
+         (v >= screen_floor(best) && count < best_count);
+}
+
+}  // namespace detail
+
 /// Knobs of the spatiotemporal aggregation.
 struct AggregationOptions {
   /// Upper bound on the peak working set: the pooled DP matrices of two
   /// adjacent levels + cut matrices + the p-independent MeasureCache,
   /// at the lane width the run will use.
   std::size_t memory_budget_bytes = std::size_t{6} << 30;
-  /// Process sibling subtrees (and single-node levels' wavefronts) on the
-  /// shared thread pool.
+  /// Process sibling subtrees on the shared thread pool.
   bool parallel = true;
   /// Normalize gain and loss by their full-aggregation (root area) values
   /// before the trade-off, making p scales comparable across traces — the
@@ -330,18 +383,20 @@ class SpatiotemporalAggregator {
                             SliceId first_dirty,
                             std::vector<AggregationResult>& out);
   /// Assembles one AggregationResult per lane from the member DP matrices
-  /// (shared tail of run_wave and run_wave_incremental).
+  /// (shared tail of run_wave and run_wave_incremental); `parallel` runs
+  /// one pool task per lane.
   void extract_wave_results(std::span<const double> ps,
-                            std::vector<AggregationResult>& out);
+                            std::vector<AggregationResult>& out,
+                            bool parallel);
   /// Sweeps one level's nodes over the cells with j >= first_dirty:
-  /// sibling subtrees in parallel, or (thin levels, notably the root)
-  /// anti-diagonal wavefronts on the caller thread — the shared scheduling
-  /// of run_wave and run_wave_incremental.
+  /// sibling subtrees in parallel, single-node levels (notably the root)
+  /// serially on the caller thread — the shared scheduling of run_wave and
+  /// run_wave_incremental.
   void sweep_level(std::span<const NodeId> nodes, std::span<const double> ps,
                    double gain_scale, double loss_scale, SliceId first_dirty);
 
-  /// Filtered = false drops the conservative challenge-threshold screen
-  /// and evaluates the reference predicate at every cut — the kCachedSolo
+  /// Filtered = false drops the candidate screen and evaluates the
+  /// reference predicate at every cut — the kCachedSolo
   /// (PR 1) formulation.  Vec = true (lane widths divisible by 4 only,
   /// selected by options_.use_simd) routes the across-lane batches — the
   /// no-cut multiply-add, the spatial child fold, the temporal screen and
@@ -352,12 +407,10 @@ class SpatiotemporalAggregator {
   void compute_cell_lanes(const LaneScan& scan, SliceId i,
                           SliceId j) const noexcept;
   /// Sweeps the cells with j >= first_dirty (0 = the full triangle) in a
-  /// dependency-respecting order; `wavefront` parallelizes anti-diagonals.
+  /// dependency-respecting order.
   template <int W, bool Filtered, bool Vec>
-  void compute_node_lanes_w(const LaneScan& scan, bool wavefront,
-                            SliceId first_dirty);
-  void compute_node_lanes(const LaneScan& scan, bool wavefront,
-                          SliceId first_dirty = 0);
+  void compute_node_lanes_w(const LaneScan& scan, SliceId first_dirty);
+  void compute_node_lanes(const LaneScan& scan, SliceId first_dirty);
   void compute_node_reference(NodeId node, double p, double gain_scale,
                               double loss_scale);
   [[nodiscard]] LaneScan make_scan(NodeId node, std::span<const double> ps,

@@ -11,8 +11,9 @@ DichotomyResult find_significant_levels(SpatiotemporalAggregator& aggregator,
                                         const DichotomyOptions& options) {
   DichotomyResult out;
 
-  // Probe cache: p -> (signature, result).
-  std::map<double, std::pair<std::uint64_t, AggregationResult>> probes;
+  // Probe cache: p -> result.  Results carry canonical partitions, so
+  // partition equality is exact area-set equality.
+  std::map<double, AggregationResult> probes;
 
   // Runs one bisection wave as a single batch: the aggregator amortizes
   // its measure-cache build and DP buffer arena across all probes of the
@@ -31,12 +32,13 @@ DichotomyResult find_significant_levels(SpatiotemporalAggregator& aggregator,
     if (ps.empty()) return;
     std::vector<AggregationResult> results = aggregator.run_many(ps);
     for (std::size_t k = 0; k < ps.size(); ++k) {
-      const std::uint64_t sig = results[k].partition.signature();
-      probes.emplace(ps[k], std::make_pair(sig, std::move(results[k])));
+      probes.emplace(ps[k], std::move(results[k]));
     }
     out.runs += ps.size();
   };
-  const auto signature_at = [&](double p) { return probes.at(p).first; };
+  const auto same_partition = [&](double a, double b) {
+    return probes.at(a).partition == probes.at(b).partition;
+  };
 
   // Breadth-first bisection: every wave probes all pending midpoints in one
   // batch.  The probe set matches the depth-first original — a span is
@@ -56,7 +58,7 @@ DichotomyResult find_significant_levels(SpatiotemporalAggregator& aggregator,
       // compared; drop them and return the partial result instead of
       // hitting probes.at() below.
       if (!probes.contains(s.lo) || !probes.contains(s.hi)) continue;
-      if (signature_at(s.lo) == signature_at(s.hi)) continue;
+      if (same_partition(s.lo, s.hi)) continue;
       mids.push_back(0.5 * (s.lo + s.hi));
       splitting.push_back(s);
     }
@@ -72,16 +74,13 @@ DichotomyResult find_significant_levels(SpatiotemporalAggregator& aggregator,
     }
   }
 
-  // Collapse consecutive probes with equal signatures into plateaus.
+  // Collapse consecutive probes with equal partitions into plateaus.
   AggregationLevel current;
-  std::uint64_t current_sig = 0;
   bool has_current = false;
-  for (auto& [p, entry] : probes) {
-    auto& [sig, result] = entry;
-    if (!has_current || sig != current_sig) {
+  for (auto& [p, result] : probes) {
+    if (!has_current || result.partition != current.result.partition) {
       if (has_current) out.levels.push_back(std::move(current));
       current = AggregationLevel{p, p, std::move(result)};
-      current_sig = sig;
       has_current = true;
     } else {
       current.p_max = p;

@@ -3,9 +3,9 @@
 // among a set of significant values").
 //
 // The optimal partition is a piecewise-constant function of p; the
-// dichotomic search bisects [0, 1] breadth-first, comparing partition
-// signatures at the endpoints, and returns the distinct plateaus with their
-// parameter ranges.  Because the DataCube and the measure cache are
+// dichotomic search bisects [0, 1] breadth-first, comparing the canonical
+// partitions found at the endpoints of each span (exact area-set equality),
+// and returns the distinct plateaus with their parameter ranges.  Because the DataCube and the measure cache are
 // p-independent, each probe costs only the multiply-add DP, not a model
 // rebuild; every bisection wave is submitted as one
 // SpatiotemporalAggregator::run_many batch, so the cache build and the DP
@@ -43,8 +43,9 @@ struct DichotomyResult {
 };
 
 /// Finds the significant p plateaus of `aggregator` over [0, 1].
-/// Note: plateaus narrower than epsilon between two probes with equal
-/// signatures can be missed — the same trade-off the Ocelotl tool makes.
+/// Note: plateaus narrower than epsilon, or lying between two probes that
+/// return the same partition, can be missed — the same trade-off the
+/// Ocelotl tool makes.
 [[nodiscard]] DichotomyResult find_significant_levels(
     SpatiotemporalAggregator& aggregator, const DichotomyOptions& options = {});
 

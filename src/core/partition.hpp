@@ -40,16 +40,19 @@ class Partition {
   [[nodiscard]] std::size_t size() const noexcept { return areas_.size(); }
   [[nodiscard]] bool empty() const noexcept { return areas_.empty(); }
 
-  /// Sorts areas by (first_leaf, node depth, interval); makes signatures
-  /// and equality canonical.
+  /// Sorts areas by (first_leaf, i, node depth, j), a total order on the
+  /// areas of one hierarchy: two canonical partitions are equal as area
+  /// sets exactly when operator== holds.
   void canonicalize(const Hierarchy& h);
 
   /// True when the areas are pairwise disjoint and cover all |S| x |T|
   /// microscopic cells of the given dimensions.
   [[nodiscard]] bool is_valid(const Hierarchy& h, std::int32_t slices) const;
 
-  /// Order-insensitive 64-bit hash (FNV over sorted area triples); used by
-  /// the dichotomic p-search to detect partition changes.
+  /// Order-insensitive 64-bit hash (FNV over sorted area triples), a
+  /// compact fingerprint for checks and logs.  Distinct partitions can
+  /// collide; compare canonical partitions with operator== when the
+  /// answer must be exact.
   [[nodiscard]] std::uint64_t signature() const;
 
   /// Number of distinct temporal cut positions used by any area (phase

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "workload/fixtures.hpp"
 
 namespace stagg {
@@ -107,7 +111,7 @@ TEST(Dichotomy, HomogeneousModelHasOneLevel) {
   const DichotomyResult r = find_significant_levels(agg);
   ASSERT_EQ(r.levels.size(), 1u);
   EXPECT_EQ(r.levels[0].result.partition.size(), 1u);
-  // Constant-signature interval: only the two endpoint probes needed.
+  // Constant-partition interval: only the two endpoint probes needed.
   EXPECT_LE(r.runs, 3u);
 }
 
@@ -120,6 +124,57 @@ TEST(Dichotomy, EpsilonControlsResolution) {
       find_significant_levels(agg, {.epsilon = 1e-3, .max_runs = 256});
   EXPECT_LE(coarse.runs, fine.runs);
   EXPECT_LE(coarse.levels.size(), fine.levels.size());
+}
+
+TEST(Dichotomy, AdjacentLevelsDifferAndEveryProbeMatchesItsLevel) {
+  // Levels are cut where the canonical partition changes (exact equality,
+  // no hash), so adjacent levels must differ, and a solo run at every
+  // probed p must reproduce the partition of the level covering it.  The
+  // probe set is replayed here: the midpoint of every span wider than
+  // epsilon whose endpoint partitions differ.
+  const OwnedModel models[] = {
+      make_figure3_model(),
+      make_random_model({.levels = 2, .fanout = 3, .slices = 12,
+                         .states = 3, .block_slices = 2, .seed = 91}),
+  };
+  const DichotomyOptions opt{.epsilon = 1e-3, .max_runs = 256};
+  for (const OwnedModel& om : models) {
+    SpatiotemporalAggregator agg(om.model);
+    const DichotomyResult r = find_significant_levels(agg, opt);
+    ASSERT_GE(r.levels.size(), 2u);
+    ASSERT_LT(r.runs, opt.max_runs);  // the replay assumes no truncation
+    for (std::size_t k = 0; k + 1 < r.levels.size(); ++k) {
+      EXPECT_TRUE(r.levels[k].result.partition !=
+                  r.levels[k + 1].result.partition)
+          << "levels " << k << " and " << k + 1;
+    }
+
+    SpatiotemporalAggregator solo(om.model);
+    std::map<double, Partition> probed;
+    const auto at = [&](double p) -> const Partition& {
+      auto it = probed.find(p);
+      if (it == probed.end()) it = probed.emplace(p, solo.run(p).partition).first;
+      return it->second;
+    };
+    std::vector<std::pair<double, double>> spans{{0.0, 1.0}};
+    while (!spans.empty()) {
+      const auto [lo, hi] = spans.back();
+      spans.pop_back();
+      if (at(lo) == at(hi) || hi - lo <= opt.epsilon) continue;
+      const double mid = 0.5 * (lo + hi);
+      spans.emplace_back(lo, mid);
+      spans.emplace_back(mid, hi);
+    }
+    EXPECT_EQ(probed.size(), r.runs);
+    for (const auto& [p, partition] : probed) {
+      const AggregationLevel* level = nullptr;
+      for (const AggregationLevel& l : r.levels) {
+        if (l.p_min <= p && p <= l.p_max) level = &l;
+      }
+      ASSERT_NE(level, nullptr) << "p=" << p << " lies in no level";
+      EXPECT_TRUE(partition == level->result.partition) << "p=" << p;
+    }
+  }
 }
 
 }  // namespace

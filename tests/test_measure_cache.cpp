@@ -1,8 +1,8 @@
-// Equivalence suite for the measure cache and the cached wavefront kernel.
+// Equivalence suite for the measure cache and the cached lane kernel.
 //
 // The contract of the perf work is *exactness*: the MeasureCache holds
-// bit-identical copies of DataCube::measures, and the cached wavefront DP
-// (MeasureCache + column-major mirror + flat scans + arena reuse) produces
+// bit-identical copies of DataCube::measures, and the cached lane DP
+// (MeasureCache + column-major mirror + screened scans + arena reuse) produces
 // bit-identical optimal pIC values and identical partition signatures to
 // the reference per-cell-recomputation kernel, across a p-grid and
 // randomized synthetic scenarios.  EXPECT_EQ on doubles is deliberate.
@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/aggregator.hpp"
 #include "core/baselines.hpp"
 #include "core/dichotomy.hpp"
+#include "model/builder.hpp"
 #include "workload/fixtures.hpp"
+#include "workload/synthetic.hpp"
 
 namespace stagg {
 namespace {
@@ -88,7 +92,7 @@ TEST(MeasureCache, MemoryAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel equivalence: cached wavefront vs reference per-cell recomputation.
+// Kernel equivalence: cached lane kernel vs reference per-cell recomputation.
 // ---------------------------------------------------------------------------
 
 void expect_kernels_equivalent(const OwnedModel& om,
@@ -145,9 +149,9 @@ TEST(KernelEquivalence, RandomizedScenarios) {
   }
 }
 
-TEST(KernelEquivalence, WavefrontMatchesSerialCachedKernel) {
-  // parallel=false disables both sibling parallelism and the wavefront;
-  // the values must not depend on the sweep schedule.
+TEST(KernelEquivalence, ParallelMatchesSerialCachedKernel) {
+  // parallel=false disables sibling parallelism; the values must not
+  // depend on the sweep schedule.
   const OwnedModel om = make_random_model(
       {.levels = 2, .fanout = 4, .slices = 24, .states = 3, .seed = 123});
   AggregationOptions par_opt;
@@ -160,6 +164,48 @@ TEST(KernelEquivalence, WavefrontMatchesSerialCachedKernel) {
     const AggregationResult b = ser.run(p);
     EXPECT_EQ(a.optimal_pic, b.optimal_pic) << "p=" << p;
     EXPECT_EQ(a.partition.signature(), b.partition.signature()) << "p=" << p;
+  }
+}
+
+TEST(KernelEquivalence, TieHeavyChurnModelMatchesReferenceAtEveryWidth) {
+  // A homogeneous churn trace: every leaf cycles through the same states
+  // at sub-millisecond durations, so at p <= 0.3 the optimum of most
+  // sub-intervals is a fine partition and every temporal cut gives the
+  // same pIC up to rounding.  Every candidate is a near tie.  The span is
+  // short enough (~6 events per leaf and slice) that cuts differ in area
+  // count, so the count branch of the candidate screen decides the
+  // optimum: dropping that branch fails this test at every p.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  Trace trace = generate_trace(h, make_churn_programmer(8, 0.01), 3);
+  ModelBuildOptions model_opts;
+  model_opts.slice_count = 16;
+  const MicroscopicModel model = build_model(trace, h, model_opts);
+  const std::vector<double> ps = {0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3};
+
+  AggregationOptions ref_opt;
+  ref_opt.kernel = DpKernel::kReference;
+  SpatiotemporalAggregator reference(model, ref_opt);
+  const std::vector<AggregationResult> want = reference.run_many(ps);
+  // The case is only tie-heavy if fine partitions are optimal somewhere.
+  EXPECT_GT(want.front().partition.size(), h.leaf_count());
+
+  for (std::size_t width = 1; width <= kMaxDpLanes; ++width) {
+    for (const bool use_simd : {true, false}) {
+      AggregationOptions opt;
+      opt.max_lanes = width;
+      opt.use_simd = use_simd;
+      SpatiotemporalAggregator agg(model, opt);
+      const std::vector<AggregationResult> got = agg.run_many(ps);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t k = 0; k < ps.size(); ++k) {
+        EXPECT_EQ(got[k].optimal_pic, want[k].optimal_pic)
+            << "W=" << width << " simd=" << use_simd << " p=" << ps[k];
+        EXPECT_TRUE(got[k].partition == want[k].partition)
+            << "W=" << width << " simd=" << use_simd << " p=" << ps[k];
+        EXPECT_EQ(got[k].measures.gain, want[k].measures.gain);
+        EXPECT_EQ(got[k].measures.loss, want[k].measures.loss);
+      }
+    }
   }
 }
 
@@ -315,6 +361,92 @@ TEST(KernelEquivalence, DichotomyFindsSameLevelsOnBothKernels) {
     EXPECT_EQ(a.levels[k].p_max, b.levels[k].p_max);
     EXPECT_EQ(a.levels[k].result.partition.signature(),
               b.levels[k].result.partition.signature());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Candidate screen soundness: the lane kernel runs the reference predicate
+// only on temporal cuts that pass detail::screen_passes, so every
+// challenger the reference would accept must pass the screen.  Values sit
+// within a few ulps and a few epsilons of every bound involved.
+// ---------------------------------------------------------------------------
+
+TEST(CandidateScreen, PassesEveryChallengerTheReferenceAccepts) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double bests[] = {0.0,  -0.0, tiny, -tiny, 1e-300, -1e-300,
+                          1.0,  -1.0, 1e12, -1e12, 0.37,   -4096.5};
+  const std::int32_t best_counts[] = {1, 2, 3, 50};
+  // Every temporal cut has area count >= 2.
+  const std::int32_t counts[] = {2, 3, 49, 50, 51};
+  SplitMix64 mix(0x5C2EE9);
+  const auto uniform = [&mix] {
+    return static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
+  };
+  std::size_t accepted = 0;
+  std::size_t ties = 0;
+  std::size_t checked = 0;
+  for (const double best : bests) {
+    const double eps = 1e-12 + 1e-12 * std::abs(best);
+    // Every bound the reference or the screen compares against.
+    const double anchors[] = {best,
+                              best + eps,
+                              best - eps,
+                              detail::screen_floor(best),
+                              detail::screen_strict(best)};
+    std::vector<double> vs;
+    for (const double a : anchors) {
+      for (int step = -4; step <= 4; ++step) {
+        vs.push_back(a + step * eps);
+        vs.push_back(a + step * 0.25 * eps);
+      }
+      double up = a;
+      double down = a;
+      for (int ulp = 0; ulp < 6; ++ulp) {
+        vs.push_back(up);
+        vs.push_back(down);
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+      }
+    }
+    for (int r = 0; r < 400; ++r) {
+      vs.push_back(best + (uniform() * 12.0 - 6.0) * eps);
+    }
+    for (const std::int32_t best_count : best_counts) {
+      for (const std::int32_t count : counts) {
+        for (const double v : vs) {
+          ++checked;
+          if (!detail::reference_accepts(best, best_count, v, count)) continue;
+          ++accepted;
+          if (!(v > best + eps)) ++ties;
+          EXPECT_TRUE(detail::screen_passes(best, best_count, v, count))
+              << std::hexfloat << "best=" << best
+              << " best_count=" << best_count << " v=" << v
+              << " count=" << count;
+        }
+      }
+    }
+  }
+  // The grid must straddle the bounds: both branches of the reference
+  // accept, and plenty of candidates are rejected.
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(accepted, ties);
+  EXPECT_LT(accepted, checked);
+}
+
+TEST(CandidateScreen, OnlyStrictBranchPassesWhileBestCountIsAtMostTwo) {
+  // Every cut has area count >= 2, so the count branch cannot fire against
+  // the aggregate (count 1) or a two-area state: the screen is then
+  // exactly v >= screen_strict(best).
+  for (const double best : {0.0, -1.0, 3.5, -1e12}) {
+    for (const std::int32_t best_count : {1, 2}) {
+      for (const double v : {detail::screen_floor(best), best,
+                             detail::screen_strict(best),
+                             std::nextafter(detail::screen_strict(best), 0.0)}) {
+        EXPECT_EQ(detail::screen_passes(best, best_count, v, 2),
+                  v >= detail::screen_strict(best))
+            << "best=" << best << " v=" << v;
+      }
+    }
   }
 }
 

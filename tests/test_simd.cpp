@@ -177,6 +177,11 @@ TEST(SimdWrappers, I32x4AndI32x8MatchScalarTwins) {
     (simd::sc::i32x4::load(buf + off) + simd::sc::i32x4::load(buf + off + 4))
         .store(want4);
     EXPECT_TRUE(bytes_equal(got4, want4)) << "i32x4 + trial " << trial;
+    EXPECT_EQ(
+        simd::i32x4::load(buf + off).lt_mask(simd::i32x4::load(buf + off + 4)),
+        simd::sc::i32x4::load(buf + off)
+            .lt_mask(simd::sc::i32x4::load(buf + off + 4)))
+        << "i32x4 lt trial " << trial;
 
     const simd::i32x8 a = simd::i32x8::load(buf + off);
     const simd::i32x8 b = simd::i32x8::load(buf + off + 8);
@@ -194,6 +199,47 @@ TEST(SimdWrappers, I32x4AndI32x8MatchScalarTwins) {
     sa.gt_mask(sb).store(want8);
     EXPECT_TRUE(bytes_equal(got8, want8)) << "i32x8 gt trial " << trial;
     EXPECT_EQ(a.eq_mask(b), sa.eq_mask(sb)) << "i32x8 eq trial " << trial;
+  }
+}
+
+TEST(SimdWrappers, I32x4LtMaskCombinesWithF64x4GeMask) {
+  // The DP candidate screen ORs and ANDs an i32x4 lt_mask with f64x4
+  // ge_masks: bit w of each must be lane w's scalar compare, so the
+  // combined mask equals the per-lane scalar predicate.  Small counts make
+  // equal and adjacent values (the tie-break boundary) common.
+  BitFuzzer fz(0x1F4);
+  SplitMix64 mix(0x5C4EE7);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    double v[4];
+    double lo[4];
+    double hi[4];
+    std::int32_t cnt[4];
+    std::int32_t best_cnt[4];
+    for (int w = 0; w < 4; ++w) {
+      v[w] = (trial % 2 == 0) ? fz.f64()
+                              : static_cast<double>(mix.next() % 5) - 2.0;
+      lo[w] = static_cast<double>(mix.next() % 5) - 2.5;
+      hi[w] = lo[w] + static_cast<double>(mix.next() % 3);
+      cnt[w] = static_cast<std::int32_t>(mix.next() % 4);
+      best_cnt[w] = (trial % 7 == 0) ? fz.i32()
+                                     : static_cast<std::int32_t>(mix.next() % 4);
+    }
+    const simd::f64x4 vv = simd::f64x4::load(v);
+    const int above = vv.ge_mask(simd::f64x4::load(hi));
+    const int loose = vv.ge_mask(simd::f64x4::load(lo));
+    const int fewer =
+        simd::i32x4::load(cnt).lt_mask(simd::i32x4::load(best_cnt));
+    const int got = above | (fewer & loose);
+    int want = 0;
+    for (int w = 0; w < 4; ++w) {
+      want |= static_cast<int>(v[w] >= hi[w] ||
+                               (v[w] >= lo[w] && cnt[w] < best_cnt[w]))
+              << w;
+    }
+    EXPECT_EQ(got, want) << "trial " << trial;
+    EXPECT_EQ(fewer, simd::sc::i32x4::load(cnt).lt_mask(
+                         simd::sc::i32x4::load(best_cnt)))
+        << "trial " << trial;
   }
 }
 
