@@ -90,9 +90,8 @@
 
 namespace stagg {
 
-/// DP kernel selection.  kCachedWavefront is the production kernel
-/// (MeasureCache + lane batching + screened candidate scan + pooled
-/// buffers; it no longer sweeps anti-diagonals despite its name).
+/// DP kernel selection.  kCached is the production kernel (MeasureCache +
+/// lane batching + screened candidate scan + pooled buffers).
 /// kCachedSolo is the previous generation (measure cache, one probe per DP
 /// sweep, per-cut epsilon evaluation), kept as the lane-batching bench
 /// baseline and a fast second equivalence oracle.  kReference recomputes
@@ -101,7 +100,7 @@ namespace stagg {
 /// equivalence-test oracle.  All three produce bit-identical pIC values
 /// and identical partitions.
 enum class DpKernel : std::uint8_t {
-  kCachedWavefront,
+  kCached,
   kCachedSolo,
   kReference,
 };
@@ -158,7 +157,7 @@ struct AggregationOptions {
   /// behaviour of the Ocelotl tool.  Off reproduces Eq. 4 verbatim.
   bool normalize = false;
   /// DP kernel; see DpKernel.
-  DpKernel kernel = DpKernel::kCachedWavefront;
+  DpKernel kernel = DpKernel::kCached;
   /// Lane-width cap for run_many(): probes are evaluated in waves of
   /// min(max_lanes, kMaxDpLanes, probes left).  1 reproduces a solo
   /// per-probe sweep; results are bit-identical at any width.  The default

@@ -40,8 +40,8 @@ IngestPipeline::IngestPipeline(SessionManager& manager,
       1, options_.max_batch_records);
   // Freeze the name tables: parse workers resolve against pipeline-owned
   // maps, so they never touch the store while the seal worker appends.
-  // The manager-level accessors yield *global* ids, identical for single
-  // and sharded stores (a sharded manager's store() is only shard 0).
+  // The manager-level accessors yield the facade's *global* ids (a
+  // sharded manager's store() is only shard 0).
   resource_ids_.reserve(manager_.resource_count());
   for (std::size_t r = 0; r < manager_.resource_count(); ++r) {
     resource_ids_.emplace(manager_.resource_path(static_cast<ResourceId>(r)),
@@ -282,10 +282,12 @@ void IngestPipeline::advance_worker() {
     try {
       {
         std::lock_guard<std::mutex> lock(stage_mutex_);
-        // This thread is the sole writer of advanced_watermark_, so the
-        // unlocked read is race-free; the seal worker publishes frontiers
-        // in completion order, which is monotone per producer.
-        STAGG_ASSERT(*wm >= advanced_watermark_,
+        // This thread is the sole writer of advanced_watermark_ and
+        // rounds_advanced_, so the unlocked reads are race-free; the seal
+        // worker publishes frontiers in completion order, which is
+        // monotone per producer.  The first frontier may lie below the
+        // store's initial watermark (that round just refreshes).
+        STAGG_ASSERT(rounds_advanced_ == 0 || *wm >= advanced_watermark_,
                      "advance watermarks must be non-decreasing");
         // Advance never outruns seal: the manager rejects it too, but the
         // assert pins the pipeline-level contract at the stage boundary.
@@ -356,25 +358,27 @@ void IngestPipeline::submit_records(std::vector<EventRecord> records) {
   if (records.empty()) return;
   const std::size_t total = records.size();
   const std::size_t shards = options_.parse_workers;
-  const ShardedTraceStore* sharded = manager_.sharded_store().get();
-  if (sharded != nullptr && shards > 1) {
+  const ShardedTraceStore& store = *manager_.sharded_store();
+  if (store.shard_count() > 1 && shards > 1) {
     // Parse-shard -> store-shard affinity: group the batch by owning
     // store shard so each parse worker's batches hold one store shard's
     // records and the facade's bucketed append parallelizes S-wide with
     // no cross-shard scatter.  The grouping is a stable partition, so
     // per-resource order is preserved end to end (chunks re-sort at seal
-    // anyway — results are bit-identical to the contiguous split).
+    // anyway — results are bit-identical to the contiguous split).  One
+    // store shard would funnel every batch to parse worker 0, so S = 1
+    // takes the contiguous split below.
     std::vector<std::vector<EventRecord>> groups(shards);
     for (const EventRecord& rec : records) {
       if (rec.resource < 0 ||
           static_cast<std::size_t>(rec.resource) >=
-              sharded->resource_count()) {
+              store.resource_count()) {
         throw InvalidArgument(
             "ingest pipeline: record resource id " +
             std::to_string(rec.resource) +
             " is outside the frozen resource table");
       }
-      groups[sharded->shard_of(rec.resource) % shards].push_back(rec);
+      groups[store.shard_of(rec.resource) % shards].push_back(rec);
     }
     for (std::size_t i = 0; i < shards; ++i) {
       if (groups[i].empty()) continue;

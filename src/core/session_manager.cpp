@@ -23,67 +23,44 @@ TimeNs slide_target(TimeNs window_end, TimeNs dt, std::int32_t slices) {
   const TimeNs advance = dt > lim / slices ? lim : dt * slices;
   return window_end > lim - advance ? lim : window_end + advance;
 }
+
+std::shared_ptr<ShardedTraceStore> wrap_store(
+    const Hierarchy& hierarchy, std::shared_ptr<TraceStore> store) {
+  if (!store) throw InvalidArgument("SessionManager: null trace store");
+  return std::make_shared<ShardedTraceStore>(hierarchy, std::move(store));
+}
 }  // namespace
 
 SessionManager::SessionManager(const Hierarchy& hierarchy,
                                std::shared_ptr<TraceStore> store)
+    : SessionManager(hierarchy, wrap_store(hierarchy, std::move(store))) {}
+
+SessionManager::SessionManager(const Hierarchy& hierarchy,
+                               std::shared_ptr<ShardedTraceStore> sharded)
     : hierarchy_(&hierarchy),
-      store_(std::move(store)),
+      store_(std::move(sharded)),
       staged_min_(kNoStagedEvents),
       sealed_dirty_min_(kNoStagedEvents) {
-  if (!store_) throw InvalidArgument("SessionManager: null trace store");
+  if (!store_) {
+    throw InvalidArgument("SessionManager: null sharded trace store");
+  }
+  if (&store_->hierarchy() != &hierarchy) {
+    throw InvalidArgument(
+        "SessionManager: the sharded store partitions a different "
+        "hierarchy than the manager's default scope");
+  }
   store_->seal_chunk();
   // A freshly attached store is a complete recorded prefix: everything in
   // it is sealed, so the watermark starts at its end.
   watermark_ = store_->end();
 }
 
-SessionManager::SessionManager(const Hierarchy& hierarchy,
-                               std::shared_ptr<ShardedTraceStore> sharded)
-    : hierarchy_(&hierarchy),
-      sharded_(std::move(sharded)),
-      staged_min_(kNoStagedEvents),
-      sealed_dirty_min_(kNoStagedEvents) {
-  if (!sharded_) {
-    throw InvalidArgument("SessionManager: null sharded trace store");
-  }
-  if (&sharded_->hierarchy() != &hierarchy) {
-    throw InvalidArgument(
-        "SessionManager: the sharded store partitions a different "
-        "hierarchy than the manager's default scope");
-  }
-  // store_ aliases shard 0 so registry reads stay branch-free (every
-  // shard mirrors the facade's states); all mutations route through the
-  // facade.
-  store_ = sharded_->shard_ptr(0);
-  sharded_->seal_chunk();
-  watermark_ = sharded_->end();
-}
-
 std::size_t SessionManager::add_session(SessionSpec spec) {
-  if (sharded_ != nullptr) {
-    sharded_->seal_chunk();
-  } else {
-    store_->seal_chunk();
-  }
+  store_->seal_chunk();
   const Hierarchy* scope = spec.hierarchy != nullptr ? spec.hierarchy
                                                      : hierarchy_;
-  spec.options.prune_trace = false;  // eviction is centralized here
-  spec.options.memory_budget_bytes = 0;  // so is the memory policy
-  spec.options.spill_path.clear();
-  spec.options.compression = ChunkCompression::kNone;  // and the codec policy
-  if (sharded_ != nullptr) {
-    // The sharded session ctor adopts the store's ShardPlan for its
-    // aggregator and routes views per shard; scoped hierarchies work the
-    // same as in single-store mode (the plan is ignored for them).
-    sessions_.push_back(std::make_unique<SlidingWindowSession>(
-        *scope, std::shared_ptr<const ShardedTraceStore>(sharded_),
-        spec.window, std::move(spec.ps), spec.options));
-  } else {
-    sessions_.push_back(std::make_unique<SlidingWindowSession>(
-        *scope, store_, spec.window, std::move(spec.ps), spec.options,
-        StoreOwnership::kShared));
-  }
+  sessions_.push_back(std::make_unique<SlidingWindowSession>(
+      *scope, store_, spec.window, std::move(spec.ps), spec.options));
   // The initial run may have rehydrated nothing, but attaching usually
   // follows fresh ingest; re-establish the cap before the next caller
   // looks at resident bytes.
@@ -95,13 +72,8 @@ void SessionManager::set_memory_budget(std::size_t budget_bytes,
                                        const std::string& spill_path) {
   if (budget_bytes != 0) {
     if (!spill_path.empty()) {
-      if (sharded_ != nullptr) {
-        sharded_->enable_spill(spill_path);  // per-shard files path.s<k>
-      } else {
-        store_->enable_spill(spill_path);
-      }
-    } else if (sharded_ != nullptr ? !sharded_->spill_enabled()
-                                   : !store_->spill_enabled()) {
+      store_->enable_spill(spill_path);
+    } else if (!store_->spill_enabled()) {
       throw InvalidArgument(
           "SessionManager::set_memory_budget: the store has no spill file "
           "(pass spill_path or call enable_spill on the store)");
@@ -113,22 +85,14 @@ void SessionManager::set_memory_budget(std::size_t budget_bytes,
 
 void SessionManager::enforce_memory_budget() {
   if (memory_budget_ == 0) return;
-  // Sharded stores split the global budget across shards proportionally
-  // to their resident bytes (floor shares, Σ shares <= budget), so one
+  // The facade splits the global budget across shards proportionally to
+  // their resident bytes (floor shares, Σ shares <= budget), so one
   // manager-level cap bounds the whole fleet exactly.
-  if (sharded_ != nullptr) {
-    (void)sharded_->spill_cold(memory_budget_);
-  } else {
-    (void)store_->spill_cold(memory_budget_);
-  }
+  (void)store_->spill_cold(memory_budget_);
 }
 
 void SessionManager::set_compression(ChunkCompression policy) {
-  if (sharded_ != nullptr) {
-    sharded_->set_compression(policy);
-  } else {
-    store_->set_compression(policy);
-  }
+  store_->set_compression(policy);
   // Re-encoding may have freed resident bytes; nothing to spill beyond
   // the standing budget, but re-check so callers observe the cap holding.
   enforce_memory_budget();
@@ -142,11 +106,7 @@ void SessionManager::append(ResourceId resource, StateId state, TimeNs begin,
         "SessionManager::append: unknown state id " + std::to_string(state) +
         " (sessions pin |X|; new states require a new store)");
   }
-  if (sharded_ != nullptr) {
-    sharded_->add_state(resource, state, begin, end);
-  } else {
-    store_->add_state(resource, state, begin, end);
-  }
+  store_->add_state(resource, state, begin, end);
   staged_min_ = std::min(staged_min_, begin);
 }
 
@@ -163,32 +123,19 @@ void SessionManager::append(ResourceId resource, std::string_view state_name,
 }
 
 void SessionManager::ingest(std::span<const EventRecord> records) {
-  if (sharded_ != nullptr) {
-    // Track the whole batch's dirty frontier before appending (if the
-    // facade rejects a record mid-batch, an over-conservative note costs
-    // one refresh), then let the facade bucket the batch and append every
-    // shard's share from its own parallel task.
-    for (const EventRecord& rec : records) {
-      staged_min_ = std::min(staged_min_, rec.begin);
-    }
-    sharded_->ingest(records);
-    return;
-  }
+  // Track the whole batch's dirty frontier before appending: if the store
+  // rejects a record mid-batch, an over-conservative note costs one
+  // refresh, while a missed note would hide already-appended events from
+  // the sessions.  The facade then appends every shard's share from its
+  // own task.
   for (const EventRecord& rec : records) {
-    // Track the dirty frontier before appending: if add_state rejects the
-    // record, an over-conservative note costs one refresh, while a missed
-    // note would hide already-appended events from the sessions.
     staged_min_ = std::min(staged_min_, rec.begin);
-    store_->add_state(rec.resource, rec.state, rec.begin, rec.end);
   }
+  store_->ingest(records);
 }
 
 TimeNs SessionManager::seal_staged(TimeNs frontier) {
-  if (sharded_ != nullptr) {
-    sharded_->seal_chunk();
-  } else {
-    store_->seal_chunk();
-  }
+  store_->seal_chunk();
   const TimeNs staged = std::exchange(staged_min_, kNoStagedEvents);
   if (staged != kNoStagedEvents) {
     sealed_dirty_min_ = std::min(sealed_dirty_min_, staged);
@@ -217,20 +164,15 @@ void SessionManager::run_advance_stage(const Advance& advance) {
   // evicting to the store begin would only poison the horizon and reject
   // perfectly valid sessions attached later.
   if (!sessions_.empty()) {
-    const TimeNs horizon = min_window_begin();
-    if (sharded_ != nullptr) {
-      sharded_->evict_before(horizon);
-    } else {
-      store_->evict_before(horizon);
-    }
+    store_->evict_before(min_window_begin());
   }
   // Eviction first (unlinking is cheaper than spilling), then the budget
   // over whatever survived.
   enforce_memory_budget();
   // The budget holds exactly after enforcement: spill_cold only stops
   // early once no resident sealed chunk is left, and then the resident
-  // bytes are zero (per shard under a sharded store, whose floor shares
-  // never sum past the global cap).
+  // bytes are zero (per shard, and the floor shares never sum past the
+  // global cap).
   STAGG_ASSERT(memory_budget_ == 0 ||
                    resident_chunk_bytes() <= memory_budget_,
                "memory budget violated after the advance stage");
@@ -296,18 +238,12 @@ void SessionManager::refresh_all() {
 }
 
 void SessionManager::audit() const {
-  // Sharded mode runs the router audit (which audits every shard store
-  // and the plan) in place of the single store's.
-  if (sharded_ != nullptr) {
-    sharded_->audit();
-  } else {
-    store_->audit();
-  }
+  // The router audit covers every shard store and the plan.
+  store_->audit();
   const auto fail = [](const std::string& what) {
     throw ContractError("SessionManager::audit: " + what);
   };
-  const TimeNs horizon = sharded_ != nullptr ? sharded_->evict_horizon()
-                                             : store_->evict_horizon();
+  const TimeNs horizon = store_->evict_horizon();
   if (!sessions_.empty() && horizon > min_window_begin()) {
     fail("eviction horizon " + std::to_string(horizon) +
          " is past the minimum live window begin " +
@@ -316,17 +252,13 @@ void SessionManager::audit() const {
   // Unsealed tails are legal only while the dirty accounting knows about
   // them: a staged event with no staged frontier would never reach the
   // sessions' note_external_ingest and stay invisible forever.
-  const bool tails_sealed = sharded_ != nullptr ? sharded_->tails_sealed()
-                                                : store_->tails_sealed();
-  if (!tails_sealed && staged_min_ == kNoStagedEvents) {
+  if (!store_->tails_sealed() && staged_min_ == kNoStagedEvents) {
     fail("store has unsealed tails but no staged dirty frontier");
   }
 }
 
 TimeNs SessionManager::min_window_begin() const noexcept {
-  if (sessions_.empty()) {
-    return sharded_ != nullptr ? sharded_->begin() : store_->begin();
-  }
+  if (sessions_.empty()) return store_->begin();
   TimeNs lo = std::numeric_limits<TimeNs>::max();
   for (const auto& s : sessions_) {
     lo = std::min(lo, s->window().begin());

@@ -1,15 +1,18 @@
 // SessionManager: N concurrent sliding-window analyses over ONE immutable
-// chunked TraceStore — the multi-view server shape of the paper's
-// workflow, where an analyst probes the same execution at several windows,
+// chunked store — the multi-view server shape of the paper's workflow,
+// where an analyst probes the same execution at several windows,
 // hierarchy scopes and trade-off parameters at once.
 //
-// The manager owns the single-writer side of the store: it ingests events
-// into the mutable tails, seals them into immutable chunks before every
-// advance, and evicts chunks no session can ever read again (fence
-// eviction below the minimum window begin across sessions).  Sessions are
-// pure readers: each holds its own model + retained DP state but selects
-// the shared chunks through zero-copy TraceViews, so the trace bytes are
-// paid once for all N sessions instead of once per session.
+// The store is always a ShardedTraceStore: S shards, or the caller's one
+// TraceStore wrapped as the single shard of an S = 1 facade.  The manager
+// owns the single-writer side of it and is the only owner of store
+// policy: it ingests events into the mutable tails, seals them into
+// immutable chunks before every advance, evicts chunks no session can ever
+// read again (fence eviction below the minimum window begin across
+// sessions), and holds the memory budget and the compression policy.
+// Sessions are pure readers: each holds its own model + retained DP state
+// but selects the shared chunks through zero-copy TraceViews, so the trace
+// bytes are paid once for all N sessions instead of once per session.
 //
 // Advances run the sessions in parallel on the shared thread pool; the
 // pool's help-while-waiting parallel_for makes the sessions' inner DP
@@ -57,29 +60,29 @@ struct SessionSpec {
   /// hierarchy whose leaves name a subset of store resources scopes the
   /// session to those resources.
   const Hierarchy* hierarchy = nullptr;
-  /// Per-session knobs.  prune_trace and the memory budget fields are
-  /// ignored: the manager evicts centrally below the minimum window begin
-  /// across all sessions and owns the shared store's spill policy
-  /// (set_memory_budget).
+  /// Per-session analysis knobs.  Store policy (eviction, memory budget,
+  /// compression) is the manager's alone.
   SlidingWindowOptions options;
 };
 
 class SessionManager {
  public:
-  /// Shares `store` (sealed, or with pending tails which are sealed here)
-  /// between the sessions to come.  `hierarchy` is the default scope; it
-  /// must outlive the manager, as must any per-spec hierarchy.
+  /// Shares `store` between the sessions to come: seals it and wraps that
+  /// same object as the one shard of an S = 1 facade (no chunk is copied;
+  /// its spill file, compression policy, window and eviction horizon carry
+  /// over, and store()/store_ptr() return it).  `hierarchy` is the default
+  /// scope; it must outlive the manager, as must any per-spec hierarchy.
   SessionManager(const Hierarchy& hierarchy,
                  std::shared_ptr<TraceStore> store);
 
-  /// Sharded mode: spans the S shards of `sharded` transparently — ingest
-  /// routes per shard, sealing/eviction/compression fan out one task per
-  /// shard, the memory budget splits across shards proportionally to
-  /// their resident bytes (the global cap still holds exactly after every
-  /// round), and sessions attach with global resource ids plus the
-  /// store's ShardPlan for their aggregators.  Results are bit-identical
-  /// to the same events in a single-store manager at every shard count.
-  /// The store's hierarchy must be `hierarchy` (throws otherwise).
+  /// Spans the S shards of `sharded` transparently — ingest routes per
+  /// shard, sealing/eviction/compression fan out one task per shard, the
+  /// memory budget splits across shards proportionally to their resident
+  /// bytes (the global cap still holds exactly after every round), and
+  /// sessions attach with global resource ids (plus the store's ShardPlan
+  /// for their aggregators when S > 1).  Results are bit-identical at
+  /// every shard count.  The store's hierarchy must be `hierarchy` (throws
+  /// otherwise).
   SessionManager(const Hierarchy& hierarchy,
                  std::shared_ptr<ShardedTraceStore> sharded);
 
@@ -168,71 +171,68 @@ class SessionManager {
   /// (and stay bit-identical).
   void ingest_round(TimeNs frontier);
 
-  /// The shared single store — or shard 0 of a sharded manager (whose
-  /// registry mirrors the facade's; use the global accessors below for
-  /// resources).
-  [[nodiscard]] const TraceStore& store() const noexcept { return *store_; }
+  /// Shard 0: the caller's store under the TraceStore ctor; under a
+  /// sharded manager only shard 0 (whose registry mirrors the facade's —
+  /// use the global accessors below for resources).
+  [[nodiscard]] const TraceStore& store() const noexcept {
+    return store_->shard(0);
+  }
   [[nodiscard]] const std::shared_ptr<TraceStore>& store_ptr()
+      const noexcept {
+    return store_->shard_ptr(0);
+  }
+  /// The facade every session reads and every policy acts on.
+  [[nodiscard]] const std::shared_ptr<ShardedTraceStore>& sharded_store()
       const noexcept {
     return store_;
   }
-  /// The sharded store when the manager spans one; null for the
-  /// single-store ctor.
-  [[nodiscard]] const std::shared_ptr<ShardedTraceStore>& sharded_store()
-      const noexcept {
-    return sharded_;
-  }
 
-  // Global name tables across either store mode — what pipelines freeze
-  // their resolution maps from (store() would expose only shard 0's local
-  // table under a sharded manager).
+  // Global name tables — what pipelines freeze their resolution maps from
+  // (store() would expose only shard 0's local table when S > 1).
   [[nodiscard]] std::size_t resource_count() const noexcept {
-    return sharded_ != nullptr ? sharded_->resource_count()
-                               : store_->resource_count();
+    return store_->resource_count();
   }
   [[nodiscard]] const std::string& resource_path(ResourceId r) const {
-    return sharded_ != nullptr ? sharded_->resource_path(r)
-                               : store_->resource_path(r);
+    return store_->resource_path(r);
   }
   [[nodiscard]] const StateRegistry& states() const noexcept {
-    return sharded_ != nullptr ? sharded_->states() : store_->states();
+    return store_->states();
   }
 
   /// Payload bytes of the shared store — counted once, however many
   /// sessions read it.
   [[nodiscard]] std::size_t store_bytes() const noexcept {
-    return sharded_ != nullptr ? sharded_->store_bytes()
-                               : store_->store_bytes();
+    return store_->store_bytes();
   }
 
   /// Caps the resident sealed-chunk bytes of the shared store.  When the
   /// budget is non-zero, every advance — after central sealing and fence
   /// eviction — spills the coldest chunks (ascending fence max-end: data
   /// at or just above the minimum live-window begin goes first) to the
-  /// store's spill file and maps them back until
-  /// store().resident_chunk_bytes() fits; the cap is also enforced right
-  /// here and whenever a session attaches.  Sessions stream spilled chunks
-  /// through the same view cursors, so results stay bit-identical to an
-  /// all-resident run.  `spill_path` configures the store's spill file
-  /// when it has none yet (required then); 0 disables the budget.
+  /// store's spill file and maps them back until resident_chunk_bytes()
+  /// fits; the cap is also enforced right here and whenever a session
+  /// attaches.  Sessions stream spilled chunks through the same view
+  /// cursors, so results stay bit-identical to an all-resident run.
+  /// `spill_path` configures the store's spill file (`path` at S = 1,
+  /// `path.s<k>` per shard otherwise) when it has none yet (required
+  /// then); 0 disables the budget.
   void set_memory_budget(std::size_t budget_bytes,
                          const std::string& spill_path = {});
   [[nodiscard]] std::size_t memory_budget() const noexcept {
     return memory_budget_;
   }
   /// Resident (anonymous-heap) split of the shared sealed chunk bytes —
-  /// the number the budget bounds (summed across shards when sharded);
-  /// the rest is file-backed.
+  /// the number the budget bounds (summed across shards); the rest is
+  /// file-backed.
   [[nodiscard]] std::size_t resident_chunk_bytes() const noexcept {
-    return sharded_ != nullptr ? sharded_->resident_chunk_bytes()
-                               : store_->resident_chunk_bytes();
+    return store_->resident_chunk_bytes();
   }
   /// Earliest window begin across sessions (the eviction horizon); the
   /// store window begin when no session is attached.
   [[nodiscard]] TimeNs min_window_begin() const noexcept;
 
   /// Structural audit of the manager and its shared store: runs
-  /// TraceStore::audit() and additionally checks the manager's own
+  /// ShardedTraceStore::audit() and additionally checks the manager's own
   /// contracts — the eviction horizon never past the minimum live window
   /// begin (central eviction must not outrun the sessions), and unsealed
   /// tails only ever paired with a tracked staged frontier (a staged event
@@ -247,12 +247,10 @@ class SessionManager {
   /// and re-encodes what is already sealed; views streaming-decode, so
   /// session results never change).  Composes with set_memory_budget:
   /// the budget counts encoded bytes, so it retains 3-5x more shared
-  /// trace before spilling.  Like the budget, this is the manager's knob
-  /// — per-session SlidingWindowOptions::compression must stay kNone.
+  /// trace before spilling.
   void set_compression(ChunkCompression policy);
   [[nodiscard]] ChunkCompression compression() const noexcept {
-    return sharded_ != nullptr ? sharded_->compression()
-                               : store_->compression();
+    return store_->compression();
   }
 
  private:
@@ -264,11 +262,8 @@ class SessionManager {
   void enforce_memory_budget();
 
   const Hierarchy* hierarchy_;
-  /// The single shared store — or, in sharded mode, shard 0 of sharded_
-  /// (kept so registry reads need no branch; mutations always branch).
-  std::shared_ptr<TraceStore> store_;
-  /// Sharded mode: non-null when the manager spans a ShardedTraceStore.
-  std::shared_ptr<ShardedTraceStore> sharded_;
+  /// The shared store (S >= 1 shards; never null).
+  std::shared_ptr<ShardedTraceStore> store_;
   std::vector<std::unique_ptr<SlidingWindowSession>> sessions_;
   /// Min begin of events staged since the last seal (ingest dirty
   /// frontier distributed to sessions at the next advance).

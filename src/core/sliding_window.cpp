@@ -26,16 +26,13 @@ TimeGrid make_initial_grid(const TimeGrid& window) {
 /// exclusive session keeps the historical contract that a hierarchy/trace
 /// resource-count mismatch is an error (map_resources throws), never a
 /// silent subset analysis.  A scoped session requires path matching: leaf
-/// order has no meaning against a larger store.  Works against both store
-/// shapes (TraceStore and the ShardedTraceStore facade — same resource
-/// table contract, global ids).
-template <class Store>
+/// order has no meaning against a larger store.
 std::vector<ResourceId> compute_scope(const Hierarchy& hierarchy,
-                                      const Store& store,
-                                      bool match_by_path,
-                                      StoreOwnership ownership) {
-  if (hierarchy.leaf_count() == store.resource_count()) return {};
-  if (ownership == StoreOwnership::kExclusive) return {};
+                                      const ShardedTraceStore& store,
+                                      bool match_by_path, bool exclusive) {
+  if (exclusive || hierarchy.leaf_count() == store.resource_count()) {
+    return {};
+  }
   if (!match_by_path) {
     throw DimensionError(
         "session scope: a hierarchy covering a subset of store resources "
@@ -56,18 +53,21 @@ std::vector<ResourceId> compute_scope(const Hierarchy& hierarchy,
   return scope;
 }
 
-/// Sharded sessions default their aggregator to the store's ShardPlan
-/// (partitioned cube fold + per-shard cache schedule; bit-identical to the
-/// flat schedule by the cube/cache contracts).  Also the null check: it
+/// The one place the S = 1 schedule rule lives: a multi-shard store lends
+/// the aggregator its ShardPlan (partitioned cube fold + per-shard cache
+/// schedule), while one shard keeps the flat schedule — a one-shard plan
+/// would only coarsen the cache update to one task per node.  Both are
+/// bit-identical by the cube/cache contracts.  Also the null check: it
 /// must run before any member initializer dereferences the handle.
 SlidingWindowOptions adopt_shard_plan(
     SlidingWindowOptions options,
-    const std::shared_ptr<const ShardedTraceStore>& sharded) {
-  if (!sharded) {
-    throw InvalidArgument("SlidingWindowSession: null sharded trace store");
+    const std::shared_ptr<ShardedTraceStore>& store) {
+  if (!store) {
+    throw InvalidArgument("SlidingWindowSession: null trace store");
   }
-  if (options.aggregation.shard_plan == nullptr) {
-    options.aggregation.shard_plan = &sharded->plan();
+  if (options.aggregation.shard_plan == nullptr &&
+      store->shard_count() > 1) {
+    options.aggregation.shard_plan = &store->plan();
   }
   return options;
 }
@@ -78,26 +78,28 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
                                            Trace trace, const TimeGrid& window,
                                            std::vector<double> ps,
                                            SlidingWindowOptions options)
-    : SlidingWindowSession(hierarchy, trace.store(), window, std::move(ps),
-                           options, StoreOwnership::kExclusive) {}
+    : SlidingWindowSession(
+          hierarchy,
+          std::make_shared<ShardedTraceStore>(hierarchy, trace.store()),
+          /*exclusive=*/true, window, std::move(ps), std::move(options)) {}
 
-SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
-                                           std::shared_ptr<TraceStore> store,
-                                           const TimeGrid& window,
-                                           std::vector<double> ps,
-                                           SlidingWindowOptions options,
-                                           StoreOwnership ownership)
+SlidingWindowSession::SlidingWindowSession(
+    const Hierarchy& hierarchy, std::shared_ptr<ShardedTraceStore> store,
+    const TimeGrid& window, std::vector<double> ps,
+    SlidingWindowOptions options)
+    : SlidingWindowSession(hierarchy, std::move(store), /*exclusive=*/false,
+                           window, std::move(ps), std::move(options)) {}
+
+SlidingWindowSession::SlidingWindowSession(
+    const Hierarchy& hierarchy, std::shared_ptr<ShardedTraceStore> store,
+    bool exclusive, const TimeGrid& window, std::vector<double> ps,
+    SlidingWindowOptions options)
     : hierarchy_(&hierarchy),
-      options_(options),
-      store_([&]() -> std::shared_ptr<TraceStore> {
-        if (!store) {
-          throw InvalidArgument("SlidingWindowSession: null trace store");
-        }
-        return std::move(store);
-      }()),
-      ownership_(ownership),
-      scope_(compute_scope(hierarchy, *store_, options.match_by_path,
-                           ownership)),
+      options_(adopt_shard_plan(std::move(options), store)),
+      store_(std::move(store)),
+      exclusive_(exclusive),
+      scope_(compute_scope(hierarchy, *store_, options_.match_by_path,
+                           exclusive)),
       scope_paths_([&]() -> std::shared_ptr<const std::vector<std::string>> {
         if (scope_.empty()) return nullptr;
         auto paths = std::make_shared<std::vector<std::string>>();
@@ -107,119 +109,19 @@ SlidingWindowSession::SlidingWindowSession(const Hierarchy& hierarchy,
         }
         return paths;
       }()),
-      facade_(store_),
+      facade_(store_->shard_ptr(0)),
       model_([&]() -> MicroscopicModel {
         const TimeGrid grid = make_initial_grid(window);
-        if (ownership_ == StoreOwnership::kExclusive) {
-          if (options_.memory_budget_bytes != 0) {
-            if (options_.spill_path.empty()) {
-              throw InvalidArgument(
-                  "SlidingWindowSession: memory_budget_bytes requires a "
-                  "spill_path to write cold chunks to");
-            }
-            store_->enable_spill(options_.spill_path);
-          }
-          if (options_.compression != ChunkCompression::kNone) {
-            store_->set_compression(options_.compression);
-          }
-          store_->set_window(grid.begin(), grid.end());
-          store_->seal_chunk();
-          enforce_memory_budget();
-        } else {
-          // Attach check: a shared store has one memory policy, owned by
-          // the SessionManager — a per-session budget would let any one
-          // session rewrite chunk backends under all the others.
-          if (options_.memory_budget_bytes != 0) {
-            throw InvalidArgument(
-                "SlidingWindowSession: memory_budget_bytes is an "
-                "exclusive-store knob; set the budget on the SessionManager "
-                "for shared stores");
-          }
-          if (options_.compression != ChunkCompression::kNone) {
-            throw InvalidArgument(
-                "SlidingWindowSession: compression is an exclusive-store "
-                "knob; set the policy on the SessionManager for shared "
-                "stores");
-          }
-          if (!store_->tails_sealed()) {
-            throw InvalidArgument(
-                "SlidingWindowSession: shared store has unsealed events "
-                "(seal_chunk() before attaching sessions)");
-          }
-          // A window reaching behind the eviction horizon would silently
-          // aggregate over already-unlinked chunks and break the
-          // bit-identity-with-a-private-copy contract.
-          if (grid.begin() < store_->evict_horizon()) {
-            throw InvalidArgument(
-                "SlidingWindowSession: window begins at " +
-                std::to_string(grid.begin()) +
-                " ns, before the shared store's eviction horizon (" +
-                std::to_string(store_->evict_horizon()) +
-                " ns) — events there are already evicted");
-          }
-        }
-        ModelBuildOptions build;
-        build.slice_count = grid.slice_count();
-        build.match_by_path = options_.match_by_path;
-        build.window_begin = grid.begin();
-        build.window_end = grid.end();
-        return build_model(make_view(grid), hierarchy, build);
-      }()),
-      leaf_of_(map_leaves()),
-      agg_(model_, options.aggregation),
-      ps_(std::move(ps)) {
-  results_ = agg_.run_incremental(ps_);
-  dirty_from_ns_ = window.end();
-}
-
-SlidingWindowSession::SlidingWindowSession(
-    const Hierarchy& hierarchy,
-    std::shared_ptr<const ShardedTraceStore> sharded, const TimeGrid& window,
-    std::vector<double> ps, SlidingWindowOptions options)
-    : hierarchy_(&hierarchy),
-      options_(adopt_shard_plan(std::move(options), sharded)),
-      sharded_(std::move(sharded)),
-      store_(sharded_->shard_ptr(0)),
-      ownership_(StoreOwnership::kShared),
-      scope_(compute_scope(hierarchy, *sharded_, options_.match_by_path,
-                           StoreOwnership::kShared)),
-      scope_paths_([&]() -> std::shared_ptr<const std::vector<std::string>> {
-        if (scope_.empty()) return nullptr;
-        auto paths = std::make_shared<std::vector<std::string>>();
-        paths->reserve(scope_.size());
-        for (const ResourceId r : scope_) {
-          paths->push_back(sharded_->resource_path(r));
-        }
-        return paths;
-      }()),
-      facade_(store_),
-      model_([&]() -> MicroscopicModel {
-        const TimeGrid grid = make_initial_grid(window);
-        // Same attach contract as the shared single-store ctor: one memory
-        // and codec policy per shared store, owned by the manager.
-        if (options_.memory_budget_bytes != 0) {
-          throw InvalidArgument(
-              "SlidingWindowSession: memory_budget_bytes is an "
-              "exclusive-store knob; set the budget on the SessionManager "
-              "for shared stores");
-        }
-        if (options_.compression != ChunkCompression::kNone) {
-          throw InvalidArgument(
-              "SlidingWindowSession: compression is an exclusive-store "
-              "knob; set the policy on the SessionManager for shared "
-              "stores");
-        }
-        if (!sharded_->tails_sealed()) {
-          throw InvalidArgument(
-              "SlidingWindowSession: shared store has unsealed events "
-              "(seal_chunk() before attaching sessions)");
-        }
-        if (grid.begin() < sharded_->evict_horizon()) {
+        sync_store(grid, /*evict=*/false);
+        // A window reaching behind the eviction horizon would silently
+        // aggregate over already-unlinked chunks and break the
+        // bit-identity-with-a-private-copy contract.
+        if (grid.begin() < store_->evict_horizon()) {
           throw InvalidArgument(
               "SlidingWindowSession: window begins at " +
               std::to_string(grid.begin()) +
-              " ns, before the shared store's eviction horizon (" +
-              std::to_string(sharded_->evict_horizon()) +
+              " ns, before the store's eviction horizon (" +
+              std::to_string(store_->evict_horizon()) +
               " ns) — events there are already evicted");
         }
         ModelBuildOptions build;
@@ -227,7 +129,8 @@ SlidingWindowSession::SlidingWindowSession(
         build.match_by_path = options_.match_by_path;
         build.window_begin = grid.begin();
         build.window_end = grid.end();
-        return build_model(make_view(grid), hierarchy, build);
+        return build_model(make_view(grid.begin(), grid.end()), hierarchy,
+                           build);
       }()),
       leaf_of_(map_leaves()),
       agg_(model_, options_.aggregation),
@@ -236,31 +139,33 @@ SlidingWindowSession::SlidingWindowSession(
   dirty_from_ns_ = window.end();
 }
 
-TraceView SlidingWindowSession::make_view(const TimeGrid& grid) const {
-  if (sharded_ != nullptr) {
-    return TraceView(sharded_, grid.begin(), grid.end(), scope_,
-                     scope_paths_);
+void SlidingWindowSession::sync_store(const TimeGrid& grid, bool evict) {
+  if (!exclusive_) {
+    if (!store_->tails_sealed()) {
+      throw InvalidArgument(
+          "SlidingWindowSession: shared store has unsealed events (its "
+          "owner seals before attaching or advancing sessions)");
+    }
+    return;
   }
-  return TraceView(store_, grid.begin(), grid.end(), scope_, scope_paths_);
+  if (evict) store_->evict_before(grid.begin());
+  store_->set_window(grid.begin(), grid.end());
+  store_->seal_chunk();
+}
+
+TraceView SlidingWindowSession::make_view(TimeNs begin, TimeNs end) const {
+  return TraceView(store_, begin, end, scope_, scope_paths_);
 }
 
 std::vector<LeafId> SlidingWindowSession::map_leaves() const {
-  if (scope_paths_ != nullptr) {
-    return map_resources(*scope_paths_, *hierarchy_, options_.match_by_path);
-  }
-  return map_resources(sharded_ != nullptr ? *sharded_->resource_paths_ptr()
-                                           : store_->resource_paths(),
-                       *hierarchy_, options_.match_by_path);
-}
-
-void SlidingWindowSession::enforce_memory_budget() {
-  if (options_.memory_budget_bytes == 0) return;
-  (void)store_->spill_cold(options_.memory_budget_bytes);
+  return map_resources(
+      scope_paths_ != nullptr ? *scope_paths_ : *store_->resource_paths_ptr(),
+      *hierarchy_, options_.match_by_path);
 }
 
 void SlidingWindowSession::append(ResourceId resource, StateId state,
                                   TimeNs begin, TimeNs end) {
-  if (ownership_ == StoreOwnership::kShared) {
+  if (!exclusive_) {
     throw InvalidArgument(
         "SlidingWindowSession::append: shared-store sessions ingest through "
         "their SessionManager");
@@ -322,21 +227,11 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
   }
   const SliceId first_dirty = std::min(fresh_from, staged_from);
 
-  // 3. Seal staged events into chunks and unlink chunks that can never
-  // overlap the window again (exclusive stores; a SessionManager does both
-  // centrally for shared stores), then re-fold the dirty suffix through a
-  // fresh window view.
-  if (ownership_ == StoreOwnership::kExclusive) {
-    if (options_.prune_trace) store_->evict_before(new_grid.begin());
-    store_->set_window(new_grid.begin(), new_grid.end());
-    store_->seal_chunk();
-    enforce_memory_budget();
-  } else if (sharded_ != nullptr ? !sharded_->tails_sealed()
-                                 : !store_->tails_sealed()) {
-    throw InvalidArgument(
-        "SlidingWindowSession: shared store advanced with unsealed events "
-        "(the SessionManager seals before advancing)");
-  }
+  // 3. Unlink chunks that can never overlap the window again and seal
+  // staged events into chunks (exclusive sessions; a SessionManager does
+  // both centrally for shared stores), then re-fold the dirty suffix
+  // through a fresh window view.
+  sync_store(new_grid, /*evict=*/true);
   // The view needs only the chunks that can touch the dirty suffix:
   // selecting from the first dirty slice (not the window begin) lets the
   // chunk fences prune everything wholly behind it — intervals ending
@@ -346,13 +241,8 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
   const TimeNs dirty_begin_ns = dirty_clamped >= new_t
                                     ? new_grid.end()
                                     : new_grid.slice_begin(dirty_clamped);
-  const TraceView dirty_view =
-      sharded_ != nullptr
-          ? TraceView(sharded_, dirty_begin_ns, new_grid.end(), scope_,
-                      scope_paths_)
-          : TraceView(store_, dirty_begin_ns, new_grid.end(), scope_,
-                      scope_paths_);
-  refold_suffix(model_, dirty_view, leaf_of_, first_dirty);
+  refold_suffix(model_, make_view(dirty_begin_ns, new_grid.end()), leaf_of_,
+                first_dirty);
 
   // 4. Splice every derived structure and re-run the DP over the dirty
   // columns only.
@@ -386,20 +276,11 @@ const std::vector<AggregationResult>& SlidingWindowSession::refresh() {
 
 std::vector<AggregationResult> SlidingWindowSession::run_from_scratch(
     DpKernel kernel) const {
-  // Sealed snapshot: shares the immutable chunks, seals any staged tail
-  // (the original also folded staged-but-unadvanced events).  Sharded
-  // sessions snapshot the whole facade — every shard, not just shard 0.
+  // Sealed snapshot of every shard: shares the immutable chunks, seals any
+  // staged tail (the original also folded staged-but-unadvanced events).
   const TimeGrid& grid = model_.grid();
-  const TraceView view =
-      sharded_ != nullptr
-          ? TraceView(sharded_->snapshot(), grid.begin(), grid.end(), scope_,
-                      scope_paths_)
-          : [&] {
-              auto snapshot = std::make_shared<TraceStore>(*store_);
-              snapshot->seal_chunk();
-              return TraceView(snapshot, grid.begin(), grid.end(), scope_,
-                               scope_paths_);
-            }();
+  const TraceView view(store_->snapshot(), grid.begin(), grid.end(), scope_,
+                       scope_paths_);
   ModelBuildOptions build;
   build.slice_count = grid.slice_count();
   build.match_by_path = options_.match_by_path;

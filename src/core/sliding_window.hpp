@@ -16,13 +16,14 @@
 //   (i, j) of the new window equals cell (i+k, j+k) of the old one and is
 //   remapped by a pure relocation instead of recomputed.
 //
-// Since the multi-session refactor the session no longer owns a mutable
-// event blob: it reads an immutable chunked TraceStore through zero-copy
-// TraceViews (chunk-fence pruning selects the window, a merge cursor
-// yields the sorted interval stream).  A session either *owns* its store
-// exclusively (the classic single-analysis mode: it may append, seal and
-// evict) or *shares* it with other sessions under a SessionManager, which
-// then owns ingest, sealing and eviction — N sessions with different
+// The session reads an immutable chunked ShardedTraceStore through
+// zero-copy TraceViews (chunk-fence pruning selects the window, a merge
+// cursor yields the sorted interval stream).  A session built from a Trace
+// is *exclusive*: it wraps the trace's store in a one-shard facade, stages
+// append()ed events into it and, at every advance, seals them and evicts
+// the chunks behind the window.  A session built from a ShardedTraceStore
+// is *shared*: a SessionManager owns ingest, sealing, eviction, the memory
+// budget and the compression policy, and N sessions with different
 // windows, slice counts, hierarchy scopes and probe sets read the same
 // chunks, so the trace bytes are paid once, not N times.
 //
@@ -53,84 +54,45 @@
 
 #include "core/aggregator.hpp"
 #include "model/microscopic_model.hpp"
+#include "trace/sharded_store.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_store.hpp"
 #include "trace/trace_view.hpp"
 
 namespace stagg {
 
-class ShardedTraceStore;
-
-/// Who may mutate the session's TraceStore.
-enum class StoreOwnership : std::uint8_t {
-  /// The session owns the store: append() stages events, every advance
-  /// seals them and (optionally) evicts dead chunks.
-  kExclusive,
-  /// The store is shared with other sessions (a SessionManager owns
-  /// ingest, sealing and eviction); append() throws, advances require the
-  /// store to be sealed.
-  kShared,
-};
-
-/// Knobs of a sliding-window session.
+/// Analysis knobs of a sliding-window session.  Store policy — memory
+/// budget, spill file, compression — belongs to the SessionManager (a
+/// one-session manager gives a single analysis the same policy).
 struct SlidingWindowOptions {
   /// Aggregation options of the retained DP; the kernel must be a cached
   /// one and normalize must stay false (run_incremental's requirements).
   AggregationOptions aggregation;
   /// Match trace resources to hierarchy leaves by path (see build_model).
   bool match_by_path = true;
-  /// Evict chunks that can no longer overlap the window after a slide
-  /// (bounds the session's trace memory; never affects results).
-  /// Exclusive stores only — a SessionManager evicts centrally.
-  bool prune_trace = true;
-  /// Byte budget for the store's *resident* sealed chunk columns.  When
-  /// non-zero, every advance additionally spills the coldest chunks to
-  /// `spill_path` (required alongside) and maps them back on view
-  /// selection — eviction bounds what is retained, the budget bounds what
-  /// of it stays in anonymous memory.  Never affects results.  Exclusive
-  /// stores only: shared-store sessions must leave this 0 (attach throws
-  /// otherwise) — the SessionManager owns the shared memory policy.
-  std::size_t memory_budget_bytes = 0;
-  std::string spill_path;
-  /// Seal-time chunk compression policy of the session's store (kAuto:
-  /// sealed chunks keep delta/dictionary-encoded columns whenever that
-  /// shrinks them; views streaming-decode them — never affects results).
-  /// Composes with the budget: compressed chunks count their encoded
-  /// bytes, so the same budget retains 3-5x more trace before spilling.
-  /// Exclusive stores only — shared-store sessions must leave kNone
-  /// (attach throws otherwise); set the policy on the SessionManager.
-  ChunkCompression compression = ChunkCompression::kNone;
 };
 
 class SlidingWindowSession {
  public:
-  /// Takes ownership of the initial trace's store and aggregates it over
-  /// `window` (which must have a uniform slice width) for the probe
-  /// parameters `ps`.  Results are available immediately via results().
+  /// Exclusive: wraps the initial trace's store in a one-shard facade,
+  /// writes through it, and aggregates it over `window` (which must have a
+  /// uniform slice width) for the probe parameters `ps`.  Results are
+  /// available immediately via results().
   SlidingWindowSession(const Hierarchy& hierarchy, Trace trace,
                        const TimeGrid& window, std::vector<double> ps,
                        SlidingWindowOptions options = {});
 
-  /// Aggregates over a store, exclusively owned or shared (see
-  /// StoreOwnership).  With a shared store the hierarchy may *scope* the
-  /// session to a subset of store resources: every hierarchy leaf path
-  /// must name a store resource; other resources are outside the view.
+  /// Shared: reads `store`, whose owner (a SessionManager or a test
+  /// harness) ingests, seals and evicts; the store must be sealed at
+  /// attach and at every advance.  The hierarchy may *scope* the session
+  /// to a subset of store resources: every hierarchy leaf path must name a
+  /// store resource; other resources are outside the view.  Every view
+  /// routes each resource to its owning shard, so results are
+  /// bit-identical at every shard count.  When the store has more than one
+  /// shard and options.aggregation.shard_plan is unset, the session adopts
+  /// the store's ShardPlan (partitioned cube fold and per-shard cache
+  /// schedule); one shard keeps the flat schedule.
   SlidingWindowSession(const Hierarchy& hierarchy,
-                       std::shared_ptr<TraceStore> store,
-                       const TimeGrid& window, std::vector<double> ps,
-                       SlidingWindowOptions options = {},
-                       StoreOwnership ownership = StoreOwnership::kExclusive);
-
-  /// Aggregates over a sharded store — always shared (a SessionManager or
-  /// test harness owns ingest, sealing and eviction).  Hierarchy scoping
-  /// works as in the shared single-store ctor; every view routes each
-  /// resource to its owning shard, so results are bit-identical to the
-  /// same intervals held in one monolithic store.  Unless
-  /// options.aggregation.shard_plan is already set, the session adopts the
-  /// store's ShardPlan for its aggregator (partitioned cube fold and
-  /// per-shard cache schedule).  store()/trace() resolve to shard 0.
-  SlidingWindowSession(const Hierarchy& hierarchy,
-                       std::shared_ptr<const ShardedTraceStore> sharded,
+                       std::shared_ptr<ShardedTraceStore> store,
                        const TimeGrid& window, std::vector<double> ps,
                        SlidingWindowOptions options = {});
 
@@ -143,8 +105,8 @@ class SlidingWindowSession {
   /// new session for that).  Events may land anywhere, but only events
   /// confined to the window's time suffix keep the next advance
   /// incremental; an event reaching back dirties every column from its
-  /// begin slice on.  Exclusive stores only — shared-store sessions
-  /// ingest through their SessionManager.
+  /// begin slice on.  Exclusive sessions only — shared sessions ingest
+  /// through their SessionManager.
   void append(ResourceId resource, StateId state, TimeNs begin, TimeNs end);
   /// Convenience overload resolving an *existing* state by name (throws
   /// InvalidArgument on unknown names instead of interning).
@@ -181,21 +143,22 @@ class SlidingWindowSession {
   [[nodiscard]] const MicroscopicModel& model() const noexcept {
     return model_;
   }
-  /// Row-facade over the session's store (compatibility accessor; copying
-  /// it yields an independent trace sharing the sealed chunks).
+  /// Row-facade over shard 0 — the whole store of an exclusive session
+  /// (compatibility accessor; copying it yields an independent trace
+  /// sharing the sealed chunks).
   [[nodiscard]] const Trace& trace() const noexcept { return facade_; }
-  [[nodiscard]] const TraceStore& store() const noexcept { return *store_; }
+  /// Shard 0: the Trace's store for an exclusive session, the caller's
+  /// store under a SessionManager built from a TraceStore.
+  [[nodiscard]] const TraceStore& store() const noexcept {
+    return store_->shard(0);
+  }
   [[nodiscard]] const std::shared_ptr<TraceStore>& store_ptr() const noexcept {
+    return store_->shard_ptr(0);
+  }
+  /// The facade this session reads.
+  [[nodiscard]] std::shared_ptr<const ShardedTraceStore> sharded_store_ptr()
+      const noexcept {
     return store_;
-  }
-  [[nodiscard]] StoreOwnership ownership() const noexcept {
-    return ownership_;
-  }
-  /// The sharded store this session reads, or null for single-store
-  /// sessions (store() then returns the whole store, not a shard).
-  [[nodiscard]] const std::shared_ptr<const ShardedTraceStore>&
-  sharded_store_ptr() const noexcept {
-    return sharded_;
   }
   /// Store resources this session reads (empty = all, in store order).
   [[nodiscard]] std::span<const ResourceId> scope() const noexcept {
@@ -216,25 +179,28 @@ class SlidingWindowSession {
   /// splice tests assert bit-identity of results() against this at every
   /// step.
   [[nodiscard]] std::vector<AggregationResult> run_from_scratch(
-      DpKernel kernel = DpKernel::kCachedWavefront) const;
+      DpKernel kernel = DpKernel::kCached) const;
 
  private:
+  SlidingWindowSession(const Hierarchy& hierarchy,
+                       std::shared_ptr<ShardedTraceStore> store,
+                       bool exclusive, const TimeGrid& window,
+                       std::vector<double> ps, SlidingWindowOptions options);
+
   const std::vector<AggregationResult>& advance_to(const TimeGrid& new_grid,
                                                    std::int32_t dropped_front);
-  [[nodiscard]] TraceView make_view(const TimeGrid& grid) const;
+  /// Readies the store for a fold over `grid`: an exclusive session seals
+  /// its staged events (evicting behind the window first when
+  /// `evict`); a shared one checks that its owner sealed them.
+  void sync_store(const TimeGrid& grid, bool evict);
+  [[nodiscard]] TraceView make_view(TimeNs begin, TimeNs end) const;
   [[nodiscard]] std::vector<LeafId> map_leaves() const;
-  /// Spills cold chunks down to options_.memory_budget_bytes (exclusive
-  /// stores with a budget; no-op otherwise).
-  void enforce_memory_budget();
 
   const Hierarchy* hierarchy_;
   SlidingWindowOptions options_;
-  /// Sharded-store mode: non-null for sessions over a ShardedTraceStore;
-  /// store_ then aliases shard 0 (its registry mirrors the facade's) and
-  /// every view routes resources through the facade.
-  std::shared_ptr<const ShardedTraceStore> sharded_;
-  std::shared_ptr<TraceStore> store_;
-  StoreOwnership ownership_ = StoreOwnership::kExclusive;
+  std::shared_ptr<ShardedTraceStore> store_;
+  /// Built from a Trace: the session is the store's only writer.
+  bool exclusive_;
   /// Store resources backing the hierarchy's leaves; empty when the
   /// hierarchy covers the whole store (full view).
   std::vector<ResourceId> scope_;

@@ -33,6 +33,24 @@ ShardedTraceStore::ShardedTraceStore(const Hierarchy& hierarchy,
     : ShardedTraceStore(hierarchy, std::move(plan), /*make_stores=*/true) {}
 
 ShardedTraceStore::ShardedTraceStore(const Hierarchy& hierarchy,
+                                     std::shared_ptr<TraceStore> store)
+    : ShardedTraceStore(hierarchy,
+                        std::make_shared<const ShardPlan>(hierarchy, 1),
+                        /*make_stores=*/false) {
+  if (!store) throw InvalidArgument("ShardedTraceStore: null trace store");
+  *resource_paths_ = store->resource_paths();
+  const std::size_t n = resource_paths_->size();
+  resource_ids_.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    resource_ids_.emplace((*resource_paths_)[r], static_cast<ResourceId>(r));
+  }
+  shard_of_.assign(n, 0);
+  local_of_.resize(n);
+  std::iota(local_of_.begin(), local_of_.end(), ResourceId{0});
+  shards_.push_back(std::move(store));
+}
+
+ShardedTraceStore::ShardedTraceStore(const Hierarchy& hierarchy,
                                      std::shared_ptr<const ShardPlan> plan,
                                      const TraceStore& source)
     : ShardedTraceStore(hierarchy, std::move(plan), /*make_stores=*/true) {
@@ -176,6 +194,10 @@ void ShardedTraceStore::evict_before(TimeNs cutoff) {
   for (const auto& shard : shards_) shard->evict_before(cutoff);
 }
 
+void ShardedTraceStore::set_window(TimeNs begin, TimeNs end) {
+  for (const auto& shard : shards_) shard->set_window(begin, end);
+}
+
 void ShardedTraceStore::set_compression(ChunkCompression policy) {
   for (const auto& shard : shards_) shard->set_compression(policy);
 }
@@ -197,13 +219,19 @@ std::size_t ShardedTraceStore::spill_cold(std::size_t budget_bytes) {
         "(call enable_spill first)");
   }
   const std::size_t n_shards = shards_.size();
+  last_split_budget_ = budget_bytes;
+  if (n_shards == 1) {
+    // The one shard's share is the whole budget, and its own spill pass
+    // measures what is resident — a second pass here would only repeat it.
+    last_split_.assign(1, budget_bytes);
+    return shards_[0]->spill_cold(budget_bytes);
+  }
   std::vector<std::size_t> resident(n_shards, 0);
   std::size_t total = 0;
   for (std::size_t k = 0; k < n_shards; ++k) {
     resident[k] = shards_[k]->resident_chunk_bytes();
     total += resident[k];
   }
-  last_split_budget_ = budget_bytes;
   if (total <= budget_bytes) {
     // Every shard already fits inside its own footprint: record the
     // trivially-holding split and spill nothing.
@@ -231,11 +259,19 @@ std::size_t ShardedTraceStore::spill_cold(std::size_t budget_bytes) {
   return std::accumulate(spilled.begin(), spilled.end(), std::size_t{0});
 }
 
+namespace {
+/// A shard takes part in the facade window when it holds intervals or a
+/// set window; an empty shard with neither reports TraceStore's [0, 0).
+bool has_window(const TraceStore& shard) noexcept {
+  return shard.state_count() != 0 || shard.begin() != 0 || shard.end() != 0;
+}
+}  // namespace
+
 TimeNs ShardedTraceStore::begin() const noexcept {
   TimeNs lo = std::numeric_limits<TimeNs>::max();
   bool any = false;
   for (const auto& shard : shards_) {
-    if (shard->state_count() == 0) continue;
+    if (!has_window(*shard)) continue;
     lo = std::min(lo, shard->begin());
     any = true;
   }
@@ -246,7 +282,7 @@ TimeNs ShardedTraceStore::end() const noexcept {
   TimeNs hi = std::numeric_limits<TimeNs>::min();
   bool any = false;
   for (const auto& shard : shards_) {
-    if (shard->state_count() == 0) continue;
+    if (!has_window(*shard)) continue;
     hi = std::max(hi, shard->end());
     any = true;
   }

@@ -26,6 +26,13 @@
 // sharded store holding the same interval multiset as a monolithic one is
 // bit-identical under every view, fold and DP — at every shard count,
 // including S = 1.
+//
+// S = 1 is also how the session stack holds a plain TraceStore: the
+// wrapping constructor makes the caller's store object itself shard 0 of a
+// one-shard facade (no chunk is copied or re-linked), so SessionManager and
+// SlidingWindowSession see one store type whatever they were given, and
+// the caller's spill file, compression policy, set window and eviction
+// horizon stay in force.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +61,14 @@ class ShardedTraceStore {
   /// hierarchy must outlive the store and match the plan's.
   ShardedTraceStore(const Hierarchy& hierarchy,
                     std::shared_ptr<const ShardPlan> plan);
+
+  /// One-shard facade over `store`: the caller's object becomes shard 0
+  /// as is (shard_ptr(0) returns it), global ids equal its resource ids,
+  /// and the plan is a one-shard plan of `hierarchy`.  The facade takes
+  /// the store's resource table here, so register resources first; later
+  /// writes go through the facade.
+  ShardedTraceStore(const Hierarchy& hierarchy,
+                    std::shared_ptr<TraceStore> store);
 
   /// Re-shards an existing store: registers every source resource (global
   /// ids keep the source order), mirrors its state registry, and adopts
@@ -121,6 +136,8 @@ class ShardedTraceStore {
   void ingest(std::span<const EventRecord> records);
   void seal_chunk();
   void evict_before(TimeNs cutoff);
+  /// Overrides every shard's observation window (see TraceStore).
+  void set_window(TimeNs begin, TimeNs end);
   void set_compression(ChunkCompression policy);
   [[nodiscard]] ChunkCompression compression() const noexcept {
     return shards_[0]->compression();
@@ -145,6 +162,8 @@ class ShardedTraceStore {
   }
 
   // --- Read aggregates ----------------------------------------------------
+  /// Observation window folded over every shard that holds intervals or
+  /// a set window; [0, 0) when none does (an empty TraceStore's window).
   [[nodiscard]] TimeNs begin() const noexcept;
   [[nodiscard]] TimeNs end() const noexcept;
   [[nodiscard]] bool sealed() const noexcept;

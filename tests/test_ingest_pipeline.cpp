@@ -321,6 +321,50 @@ TEST(IngestPipeline, BackpressureBoundsDepthWithoutDropsOrReorders) {
   }
 }
 
+TEST(IngestPipeline, OneShardStoreSpreadsRecordsOverEveryParseWorker) {
+  // A manager over a plain TraceStore holds a one-shard facade: grouping
+  // records by store shard would send every batch to parse worker 0, so
+  // the pipeline must split the batch across all P parse queues.
+  Fixture fx(0x5A4D);
+  auto piped = fx.make_manager(1);
+  ASSERT_EQ(piped->sharded_store()->shard_count(), 1u);
+  const auto rounds = fx.rounds(seconds(2.0), seconds(12.0));
+  ASSERT_GE(rounds.front().second.size(), 4u);
+  IngestPipelineOptions opt;
+  opt.parse_workers = 4;
+  IngestPipeline pipeline(*piped, opt);
+  pipeline.submit_records(rounds.front().second);
+  const IngestPipelineStats stats = pipeline.stats();
+  ASSERT_EQ(stats.shard_queues.size(), 4u);
+  for (std::size_t i = 0; i < stats.shard_queues.size(); ++i) {
+    EXPECT_GT(stats.shard_queues[i].pushed, 0u) << "parse queue " << i;
+  }
+  pipeline.advance_watermark(rounds.front().first);
+  pipeline.close();
+  EXPECT_EQ(pipeline.stats().records_sealed, rounds.front().second.size());
+}
+
+TEST(IngestPipeline, FirstFrontierBelowTheInitialWatermarkRefreshes) {
+  // The attached prefix's last intervals end past the split horizon, so
+  // the store's initial watermark lies beyond a first frontier at the
+  // horizon: that round is legal and only refreshes (audit builds check
+  // frontier monotonicity from the first advanced round on).
+  Fixture fx(0xF1F0);
+  auto sync = fx.make_manager(1);
+  auto piped = fx.make_manager(1);
+  ASSERT_LT(fx.horizon, piped->watermark());
+  sync->advance_to(fx.horizon);
+  IngestPipeline pipeline(*piped, {});
+  pipeline.advance_watermark(fx.horizon);
+  pipeline.close();
+  EXPECT_EQ(pipeline.stats().rounds_advanced, 1u);
+  for (std::size_t i = 0; i < sync->session_count(); ++i) {
+    EXPECT_EQ(keys_of(piped->session(i).results()),
+              keys_of(sync->session(i).results()))
+        << "session " << i;
+  }
+}
+
 TEST(IngestPipeline, RandomizedRoundSizesStayIdentical) {
   // Fuzz the batching: random per-submission sizes compared against the
   // synchronous loop at every watermark.

@@ -404,17 +404,6 @@ TEST(SessionManager, MemoryBudgetRequiresSpillFile) {
   whole.seal();
   SessionManager manager(h, whole.store());
   EXPECT_THROW(manager.set_memory_budget(1024), InvalidArgument);
-  // Per-session budgets are an exclusive-store knob: a shared attach with
-  // one set must be rejected (the manager owns the shared memory policy).
-  auto session_store = std::make_shared<TraceStore>(*whole.store());
-  session_store->seal_chunk();
-  SlidingWindowOptions opt;
-  opt.memory_budget_bytes = 1024;
-  opt.spill_path = "test_session_manager_unused.spill";
-  EXPECT_THROW(SlidingWindowSession(h, session_store,
-                                    TimeGrid(0, seconds(8.0), 8), {0.5}, opt,
-                                    StoreOwnership::kShared),
-               InvalidArgument);
 }
 
 TEST(SessionManager, SharedSessionsRejectDirectIngest) {
@@ -465,12 +454,10 @@ TEST(SessionManager, CentralCompressionKeepsEverySessionBitIdentical) {
   EXPECT_EQ(compressed->compression(), ChunkCompression::kAuto);
   EXPECT_LT(compressed->store_bytes(), raw_bytes)
       << "central re-encoding must shrink the shared sealed payload";
-  // A session spec carrying the exclusive-store knob is accepted but the
-  // policy stays central (the spec's field is overridden, not obeyed).
+  // A late session attaches under each manager's own policy.
   SessionSpec late;
   late.window = TimeGrid(seconds(4.0), seconds(16.0), 12);
   late.ps = {0.5};
-  late.options.compression = ChunkCompression::kAuto;
   plain->add_session(late);
   compressed->add_session(late);
   EXPECT_EQ(plain->compression(), ChunkCompression::kNone);

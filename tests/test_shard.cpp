@@ -371,18 +371,25 @@ TEST(ShardedSession, BitIdenticalToMonolithicAcrossShardCountsAndLanes) {
     for (const std::size_t s : kShardCounts) {
       const std::string ctx =
           "S=" + std::to_string(s) + " W=" + std::to_string(lanes);
-      // Fresh monolithic reference per shard count: both sides run the
+      // Fresh monolithic reference per shard count — one TraceStore
+      // wrapped as the single shard of a facade: both sides run the
       // identical slide/extend/contract chain from the same start.
       auto mono_store = std::make_shared<TraceStore>(*trace.store());
       mono_store->seal_chunk();
-      SlidingWindowSession mono(h, mono_store, window, ps, opt,
-                                StoreOwnership::kShared);
+      SlidingWindowSession mono(
+          h, std::make_shared<ShardedTraceStore>(h, mono_store), window, ps,
+          opt);
+      EXPECT_EQ(&mono.store(), mono_store.get());
+      EXPECT_EQ(mono.aggregator().options().shard_plan, nullptr);
       const auto sharded = make_sharded(h, s, *trace.store());
       SlidingWindowSession session(h, sharded, window, ps, opt);
-      EXPECT_EQ(session.ownership(), StoreOwnership::kShared);
+      EXPECT_THROW(session.append(0, StateId{0}, 0, 1), InvalidArgument)
+          << "a session over a ShardedTraceStore is shared";
       EXPECT_EQ(session.sharded_store_ptr().get(), sharded.get());
-      // The session adopts the facade's plan for its aggregator.
-      EXPECT_EQ(session.aggregator().options().shard_plan, &sharded->plan());
+      // Multi-shard stores lend the session their plan; one shard keeps
+      // the flat cube fold and cache schedule.
+      EXPECT_EQ(session.aggregator().options().shard_plan,
+                sharded->shard_count() > 1 ? &sharded->plan() : nullptr);
       expect_results_equal(session.results(), mono.results(),
                            ctx + " initial");
       session.slide(3);
@@ -657,6 +664,108 @@ TEST(ShardedManager, PipelineAffinityBitIdenticalToSynchronousRounds) {
   }
   pipeline.close();
   ASSERT_NO_THROW(piped_mgr->audit());
+}
+
+TEST(ShardedManager, TraceStoreCtorWrapsTheCallersStore) {
+  // The TraceStore ctor makes the caller's object shard 0 of a one-shard
+  // facade: no copy, and its spill file, codec policy, set window and
+  // eviction horizon stay in force.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  Trace whole = make_synthetic_trace(h, 20.0, 0x3A9);
+  whole.seal();
+  const auto store = std::make_shared<TraceStore>(*whole.store());
+  const std::string spill = "test_shard_wrap.spill";
+  std::remove(spill.c_str());
+  store->enable_spill(spill);
+  store->set_compression(ChunkCompression::kAuto);
+  store->evict_before(seconds(2.0));
+  store->set_window(seconds(2.0), seconds(20.0));
+  const TraceChunkPtr first_chunk = store->chunks(0).front();
+  {
+    SessionManager manager(h, store);
+    const ShardedTraceStore& facade = *manager.sharded_store();
+    ASSERT_EQ(facade.shard_count(), 1u);
+    EXPECT_EQ(facade.shard_ptr(0), store);
+    EXPECT_EQ(manager.store_ptr(), store);
+    EXPECT_EQ(&manager.store(), store.get());
+    EXPECT_EQ(store->chunks(0).front(), first_chunk) << "no chunk re-linked";
+    EXPECT_EQ(manager.compression(), ChunkCompression::kAuto);
+    EXPECT_TRUE(facade.spill_enabled());
+    EXPECT_EQ(facade.evict_horizon(), seconds(2.0));
+    EXPECT_EQ(facade.begin(), seconds(2.0));
+    EXPECT_EQ(manager.watermark(), seconds(20.0));
+    ASSERT_EQ(manager.resource_count(), store->resource_count());
+    for (std::size_t r = 0; r < store->resource_count(); ++r) {
+      const auto id = static_cast<ResourceId>(r);
+      EXPECT_EQ(manager.resource_path(id), store->resource_path(id));
+      EXPECT_EQ(facade.find_resource(store->resource_path(id)), id);
+    }
+    SessionSpec spec;
+    spec.window = TimeGrid(seconds(4.0), seconds(16.0), 12);
+    spec.ps = {0.4};
+    manager.add_session(spec);
+    EXPECT_EQ(manager.session(0).store_ptr(), store);
+    ASSERT_NO_THROW(manager.audit());
+  }
+  std::remove(spill.c_str());
+}
+
+/// A store holding no interval yet but a set window [b, e) is a complete
+/// (empty) recorded prefix: the watermark starts at e, at every S.
+void run_empty_windowed_store(std::size_t shards) {
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  Trace whole = make_synthetic_trace(h, 18.0, 0xE3 + shards);
+  whole.seal();
+  const TimeNs b = seconds(2.0);
+  const TimeNs e = seconds(10.0);
+  TraceSplit split = split_trace_at(whole, 0);  // empty initial trace
+  ASSERT_EQ(split.initial.store()->state_count(), 0u);
+  std::unique_ptr<SessionManager> manager;
+  if (shards == 1) {
+    split.initial.store()->set_window(b, e);
+    manager = std::make_unique<SessionManager>(h, split.initial.store());
+  } else {
+    split.initial.seal();
+    const auto sharded = make_sharded(h, shards, *split.initial.store());
+    sharded->set_window(b, e);
+    manager = std::make_unique<SessionManager>(h, sharded);
+  }
+  const std::string ctx = "S=" + std::to_string(shards);
+  ASSERT_EQ(manager->sharded_store()->shard_count(), shards) << ctx;
+  EXPECT_EQ(manager->sharded_store()->begin(), b) << ctx;
+  EXPECT_EQ(manager->sharded_store()->end(), e) << ctx;
+  EXPECT_EQ(manager->watermark(), e) << ctx;
+  SessionSpec spec;
+  spec.window = TimeGrid(b, e, 8);
+  spec.ps = {0.3, 0.7};
+  manager->add_session(spec);
+  ASSERT_NO_THROW(manager->advance_to_watermark(e)) << ctx;
+
+  // Live events then arrive and the window slides over them.
+  std::size_t next = 0;
+  for (TimeNs frontier = e + seconds(2.0); frontier <= seconds(18.0);
+       frontier += seconds(2.0)) {
+    for (; next < split.future.size() &&
+           split.future[next].second.begin < frontier;
+         ++next) {
+      const auto& [r, st] = split.future[next];
+      manager->append(r, st.state, st.begin, st.end);
+    }
+    manager->ingest_round(frontier);
+    expect_results_equal(
+        manager->session(0).results(),
+        manager->session(0).run_from_scratch(DpKernel::kReference),
+        ctx + " frontier " + std::to_string(frontier));
+  }
+  EXPECT_EQ(manager->session(0).window().end(), seconds(18.0)) << ctx;
+  ASSERT_NO_THROW(manager->audit()) << ctx;
+}
+
+TEST(ShardedManager, EmptyWindowedStoreStartsAtItsWindowEndS1) {
+  run_empty_windowed_store(1);
+}
+TEST(ShardedManager, EmptyWindowedStoreStartsAtItsWindowEndS3) {
+  run_empty_windowed_store(3);
 }
 
 TEST(ShardedManager, RejectsMismatchedHierarchy) {

@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "core/aggregator.hpp"
 #include "core/measure_cache.hpp"
+#include "core/session_manager.hpp"
 #include "hierarchy/platform.hpp"
 #include "model/builder.hpp"
 #include "workload/fixtures.hpp"
@@ -85,10 +86,12 @@ struct EventStream {
     return stream;
   }
 
-  void deliver_until(SlidingWindowSession& session, TimeNs horizon) {
+  /// Appends to an exclusive session or a SessionManager alike.
+  template <class Sink>
+  void deliver_until(Sink& sink, TimeNs horizon) {
     while (next < events.size() && events[next].second.begin < horizon) {
       const auto& [r, s] = events[next];
-      session.append(r, s.state, s.begin, s.end);
+      sink.append(r, s.state, s.begin, s.end);
       ++next;
     }
   }
@@ -123,7 +126,7 @@ TEST(SlidingWindow, InitialResultsMatchBatchRunMany) {
   const std::vector<double> ps = {0.0, 0.3, 0.55, 0.8, 1.0};
   SlidingWindowSession session(h, std::move(trace), window, ps);
   expect_results_equal(session.results(),
-                       session.run_from_scratch(DpKernel::kCachedWavefront),
+                       session.run_from_scratch(DpKernel::kCached),
                        "initial/wavefront");
   expect_results_equal(session.results(),
                        session.run_from_scratch(DpKernel::kReference),
@@ -399,7 +402,7 @@ TEST(SlidingWindow, WorkingSetAccountingTracksPostAdvanceWindow) {
   // The estimate must agree with a fresh aggregator of the same shape at
   // the post-advance |T| — no stale-lane or stale-|T| accounting.
   expect_results_equal(session.results(),
-                       session.run_from_scratch(DpKernel::kCachedWavefront),
+                       session.run_from_scratch(DpKernel::kCached),
                        "post-contract");
   session.slide(3);
   expect_results_equal(session.results(),
@@ -475,19 +478,6 @@ TEST(SlidingWindow, RejectsUnsupportedConfigurations) {
       SlidingWindowSession(h, make_trace(), TimeGrid(0, 1000000007, 10),
                            {0.5}),
       InvalidArgument);
-  {
-    SlidingWindowOptions opt;
-    opt.compression = ChunkCompression::kAuto;
-    // Compression is an exclusive-store knob: attaching to a shared store
-    // with a session-level policy must be rejected (the SessionManager
-    // owns the shared codec policy).
-    Trace shared = make_trace();
-    shared.seal();
-    EXPECT_THROW(SlidingWindowSession(h, shared.store(),
-                                      TimeGrid(0, seconds(10.0), 10), {0.5},
-                                      opt, StoreOwnership::kShared),
-                 InvalidArgument);
-  }
   // Unknown states cannot be appended mid-session (|X| is fixed).
   SlidingWindowSession session(h, make_trace(), TimeGrid(0, seconds(10.0), 10),
                                {0.5});
@@ -501,10 +491,10 @@ TEST(SlidingWindow, RejectsUnsupportedConfigurations) {
 // ---------------------------------------------------------------------------
 
 TEST(SlidingWindow, CompressionPolicyKeepsEveryAdvanceBitIdentical) {
-  // Twin sessions over the same event stream, one with seal-time chunk
-  // compression: every advance must agree bit-exactly with the plain twin
-  // and with the kReference from-scratch oracle, while the compressed
-  // store holds fewer payload bytes.
+  // Twins over the same event stream, one a one-session SessionManager
+  // with seal-time chunk compression: every advance must agree bit-exactly
+  // with the plain exclusive session and with the kReference from-scratch
+  // oracle, while the compressed store holds fewer payload bytes.
   const Hierarchy h = make_balanced_hierarchy(2, 3);
   Trace whole = make_synthetic_trace(h, 36.0, 0xC0DEC);
   whole.seal();
@@ -519,17 +509,15 @@ TEST(SlidingWindow, CompressionPolicyKeepsEveryAdvanceBitIdentical) {
   EventStream compressed_stream =
       EventStream::from_trace(whole, horizon, compressed_initial);
 
-  SlidingWindowOptions plain_opt;
-  SlidingWindowOptions compressed_opt;
-  compressed_opt.compression = ChunkCompression::kAuto;
-  SlidingWindowSession plain(h, std::move(plain_initial), window, ps,
-                             plain_opt);
-  SlidingWindowSession compressed(h, std::move(compressed_initial), window,
-                                  ps, compressed_opt);
+  SlidingWindowSession plain(h, std::move(plain_initial), window, ps);
+  SessionManager compressed(h, compressed_initial.store());
+  compressed.set_compression(ChunkCompression::kAuto);
+  compressed.add_session({window, ps});
   EXPECT_EQ(compressed.store().compression(), ChunkCompression::kAuto);
   EXPECT_LT(compressed.store().store_bytes(), plain.store().store_bytes())
       << "the codec policy must shrink the sealed payload";
-  expect_results_equal(compressed.results(), plain.results(), "initial");
+  expect_results_equal(compressed.session(0).results(), plain.results(),
+                       "initial");
 
   TimeNs delivered_to = horizon;
   for (int round = 0; round < 4; ++round) {
@@ -537,11 +525,12 @@ TEST(SlidingWindow, CompressionPolicyKeepsEveryAdvanceBitIdentical) {
     plain_stream.deliver_until(plain, delivered_to);
     compressed_stream.deliver_until(compressed, delivered_to);
     plain.slide(3);
-    compressed.slide(3);
+    compressed.slide_all(3);
     const std::string ctx = "round " + std::to_string(round);
-    expect_results_equal(compressed.results(), plain.results(), ctx);
-    expect_results_equal(compressed.results(),
-                         compressed.run_from_scratch(DpKernel::kReference),
+    const SlidingWindowSession& session = compressed.session(0);
+    expect_results_equal(session.results(), plain.results(), ctx);
+    expect_results_equal(session.results(),
+                         session.run_from_scratch(DpKernel::kReference),
                          ctx + " vs kReference");
   }
   EXPECT_LT(compressed.store().store_bytes(), plain.store().store_bytes());
@@ -567,28 +556,31 @@ TEST(SlidingWindow, CompressionComposesWithMemoryBudget) {
   EventStream tight_stream =
       EventStream::from_trace(whole, horizon, tight_initial);
 
-  SlidingWindowSession plain(h, std::move(plain_initial), window, ps, {});
-  SlidingWindowOptions opt;
-  opt.compression = ChunkCompression::kAuto;
-  opt.memory_budget_bytes = plain.store().store_bytes() / 8;
-  opt.spill_path = spill;
-  SlidingWindowSession tight(h, std::move(tight_initial), window, ps, opt);
-  EXPECT_LE(tight.store().resident_chunk_bytes(), opt.memory_budget_bytes);
-  expect_results_equal(tight.results(), plain.results(), "initial");
+  SlidingWindowSession plain(h, std::move(plain_initial), window, ps);
+  const std::size_t budget = plain.store().store_bytes() / 8;
+  {
+    SessionManager tight(h, tight_initial.store());
+    tight.set_compression(ChunkCompression::kAuto);
+    tight.set_memory_budget(budget, spill);
+    tight.add_session({window, ps});
+    EXPECT_LE(tight.store().resident_chunk_bytes(), budget);
+    expect_results_equal(tight.session(0).results(), plain.results(),
+                         "initial");
 
-  TimeNs delivered_to = horizon;
-  for (int round = 0; round < 3; ++round) {
-    delivered_to += seconds(3.0);
-    plain_stream.deliver_until(plain, delivered_to);
-    tight_stream.deliver_until(tight, delivered_to);
-    plain.slide(3);
-    tight.slide(3);
-    EXPECT_LE(tight.store().resident_chunk_bytes(), opt.memory_budget_bytes)
-        << "round " << round;
-    expect_results_equal(tight.results(), plain.results(),
-                         "round " + std::to_string(round));
+    TimeNs delivered_to = horizon;
+    for (int round = 0; round < 3; ++round) {
+      delivered_to += seconds(3.0);
+      plain_stream.deliver_until(plain, delivered_to);
+      tight_stream.deliver_until(tight, delivered_to);
+      plain.slide(3);
+      tight.slide_all(3);
+      EXPECT_LE(tight.store().resident_chunk_bytes(), budget)
+          << "round " << round;
+      expect_results_equal(tight.session(0).results(), plain.results(),
+                           "round " + std::to_string(round));
+    }
+    EXPECT_GT(tight.store().spilled_chunk_bytes(), 0u);
   }
-  EXPECT_GT(tight.store().spilled_chunk_bytes(), 0u);
   std::remove(spill.c_str());
 }
 
