@@ -4,10 +4,12 @@
 // seconds; between two advances only a small time suffix of the window
 // changed.  The batch path pays the full pipeline each time — model fold,
 // cube, O(|S|·|T|²·|X|) measure pass, O(|S|·|T|³) DP sweep.  The
-// incremental session (SlidingWindowSession + run_incremental) relocates
-// every translation-invariant structure by column shift and recomputes
-// only the cells whose triangle column intersects the dirty suffix, so
-// its cost scales with the dirty fraction, not the window.
+// incremental session (SlidingWindowSession + run_incremental) addresses
+// the cube, the measure cache and the retained DP triangles through a
+// window origin, so a slide moves the origin instead of the cells (one
+// in-place compaction per ~|T|/8 slid columns), and recomputes only the
+// cells whose triangle column intersects the dirty suffix — its cost
+// scales with the dirty fraction, not the window.
 //
 // Protocol: a 64-leaf synthetic MPI trace streams into a |T| = 96 session;
 // for each dirty fraction (slide distance k => k/|T| dirty columns) the

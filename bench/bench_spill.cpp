@@ -10,14 +10,24 @@
 // cache; streaming a spilled chunk is a sequential scan either way).
 //
 // Protocol: a synthetic stream drives N staggered sessions.  The
-// all-resident manager runs the full ingest+slide schedule first and
-// records per-round results and timings; the budgeted manager then
-// replays the identical schedule under the cap, and a third leg replays
-// it under the cap *with chunk compression* (ChunkCompression::kAuto) —
-// the encoded chunks must also hold the budget, stay bit-identical, and
-// keep the same <= 1.3x slowdown bar while reporting bytes/interval and
-// the achieved compression ratio.  --smoke emits BENCH_spill.json for CI
-// trend tracking; exit is non-zero on any violated bar.
+// all-resident manager runs the full ingest+slide schedule and records
+// per-round results and timings; the budgeted manager replays the
+// identical schedule under the cap, and a third leg replays it under the
+// cap *with chunk compression* (ChunkCompression::kAuto) — the encoded
+// chunks must also hold the budget, stay bit-identical, and keep the same
+// <= 1.3x slowdown bar while reporting bytes/interval and the achieved
+// compression ratio.
+//
+// Timing: one schedule takes milliseconds, so a single ratio is noise.
+// The three legs run as one interleaved repeat (leg order reversed on
+// every other repeat), and each repeat yields one paired slowdown per
+// leg (its budgeted time over its own resident time).  The bar is judged
+// on the median paired ratio once the interquartile spread of the ratios
+// lies wholly on one side of the bar; repeats continue up to a cap while
+// it straddles the bar, and a spread still straddling at the cap exits 3
+// with an "inconclusive" verdict.  --smoke emits BENCH_spill.json (the
+// medians and the spreads) for CI trend tracking; exit is 2 on any
+// violated bar or equivalence failure.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -55,6 +65,32 @@ bool results_equal(const std::vector<AggregationResult>& a,
 struct Spec {
   TimeGrid window;
   std::vector<double> ps;
+};
+
+/// Linear-interpolated quantile q in [0, 1] of a non-empty sample.
+double quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Paired slowdown ratios of one leg against the bar: median and
+/// interquartile spread; `conclusive` when the spread lies wholly on one
+/// side of the bar.
+struct RatioSpread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+
+  static RatioSpread of(const std::vector<double>& ratios) {
+    return {quantile(ratios, 0.5), quantile(ratios, 0.25),
+            quantile(ratios, 0.75)};
+  }
+  [[nodiscard]] bool conclusive(double bar) const noexcept {
+    return q3 <= bar || q1 > bar;
+  }
 };
 
 struct RunStats {
@@ -107,6 +143,11 @@ int run(int argc, const char* const* argv) {
       cli.get("rounds").empty()
           ? (smoke ? 8 : 12)
           : static_cast<int>(std::max<std::int64_t>(2, cli.get_int("rounds")));
+  // Interleaved repeats: at least min_repeats, more (up to the cap) while
+  // the ratio spread straddles the bar.  A smoke schedule takes a few
+  // milliseconds, so it affords more repeats.
+  const int min_repeats = smoke ? 7 : 5;
+  const int max_repeats = smoke ? 41 : 21;
   std::string json_path = cli.get("json");
   if (smoke && json_path.empty()) json_path = "BENCH_spill.json";
   const std::string spill_path = "bench_spill.chunks";
@@ -216,61 +257,96 @@ int run(int argc, const char* const* argv) {
     return stats;
   };
 
-  const RunStats resident = run_schedule(0, ChunkCompression::kNone);
+  // The budget is a fixed share of the first all-resident run's peak.
+  const RunStats first = run_schedule(0, ChunkCompression::kNone);
   const auto budget = static_cast<std::size_t>(
-      static_cast<double>(resident.resident_chunk_peak) * budget_pct / 100.0);
-  const RunStats budgeted = run_schedule(budget, ChunkCompression::kNone);
-  const RunStats compressed = run_schedule(budget, ChunkCompression::kAuto);
-  std::remove(spill_path.c_str());
+      static_cast<double>(first.resident_chunk_peak) * budget_pct / 100.0);
+  const double slowdown_bar = 1.3;
 
+  // Interleaved repeats: each yields one paired ratio per budgeted leg.
+  // Every leg of every repeat is checked against the first run's results.
+  std::vector<double> slowdowns;
+  std::vector<double> compressed_slowdowns;
   bool equivalent = true;
-  for (int round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-      const auto& oracle = resident.results[static_cast<std::size_t>(round)][i];
-      equivalent =
-          equivalent &&
-          results_equal(oracle,
-                        budgeted.results[static_cast<std::size_t>(round)][i]) &&
-          results_equal(
-              oracle, compressed.results[static_cast<std::size_t>(round)][i]);
+  bool within_budget = true;
+  RunStats resident;
+  RunStats compressed;
+  RatioSpread spread;
+  RatioSpread compressed_spread;
+  const auto same_results = [&](const RunStats& run) {
+    for (int round = 0; round < rounds; ++round) {
+      const auto r = static_cast<std::size_t>(round);
+      for (std::size_t i = 0; i < n_sessions; ++i) {
+        if (!results_equal(first.results[r][i], run.results[r][i])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  int repeats = 0;
+  while (repeats < max_repeats) {
+    RunStats budgeted;
+    const bool reversed = repeats % 2 == 1;
+    if (reversed) {
+      compressed = run_schedule(budget, ChunkCompression::kAuto);
+      budgeted = run_schedule(budget, ChunkCompression::kNone);
+      resident = run_schedule(0, ChunkCompression::kNone);
+    } else {
+      resident = run_schedule(0, ChunkCompression::kNone);
+      budgeted = run_schedule(budget, ChunkCompression::kNone);
+      compressed = run_schedule(budget, ChunkCompression::kAuto);
+    }
+    ++repeats;
+    equivalent = equivalent && same_results(resident) &&
+                 same_results(budgeted) && same_results(compressed);
+    within_budget = within_budget && budgeted.resident_chunk_peak <= budget &&
+                    compressed.resident_chunk_peak <= budget;
+    const double base = std::max(resident.advance_seconds, 1e-12);
+    slowdowns.push_back(budgeted.advance_seconds / base);
+    compressed_slowdowns.push_back(compressed.advance_seconds / base);
+    spread = RatioSpread::of(slowdowns);
+    compressed_spread = RatioSpread::of(compressed_slowdowns);
+    if (repeats >= min_repeats && spread.conclusive(slowdown_bar) &&
+        compressed_spread.conclusive(slowdown_bar)) {
+      break;
     }
   }
-  const bool within_budget = budgeted.resident_chunk_peak <= budget &&
-                             compressed.resident_chunk_peak <= budget;
+  std::remove(spill_path.c_str());
+
+  const bool conclusive = spread.conclusive(slowdown_bar) &&
+                          compressed_spread.conclusive(slowdown_bar);
   const double trace_over_budget =
-      static_cast<double>(resident.resident_chunk_peak) /
+      static_cast<double>(first.resident_chunk_peak) /
       static_cast<double>(std::max<std::size_t>(1, budget));
   const double total_advances =
       static_cast<double>(n_sessions) * static_cast<double>(rounds);
   const double resident_rate =
       total_advances / std::max(resident.advance_seconds, 1e-12);
-  const double budgeted_rate =
-      total_advances / std::max(budgeted.advance_seconds, 1e-12);
-  const double compressed_rate =
-      total_advances / std::max(compressed.advance_seconds, 1e-12);
-  const double slowdown = resident_rate / std::max(budgeted_rate, 1e-12);
-  const double compressed_slowdown =
-      resident_rate / std::max(compressed_rate, 1e-12);
-  const double slowdown_bar = 1.3;
+  const double slowdown = spread.median;
+  const double compressed_slowdown = compressed_spread.median;
   const bool meets_throughput_bar =
       slowdown <= slowdown_bar && compressed_slowdown <= slowdown_bar;
   const double compression_ratio =
       resident.bytes_per_interval() /
       std::max(compressed.bytes_per_interval(), 1e-12);
+  const char* verdict = !conclusive             ? "INCONCLUSIVE"
+                        : meets_throughput_bar ? "ok"
+                                               : "MISS";
 
   std::printf("trace chunk bytes    : %.2f MiB (peak, all-resident) = %.2fx "
               "the budget\n",
-              resident.resident_chunk_peak / 1048576.0, trace_over_budget);
-  std::printf("resident under budget: %.2f MiB peak vs %.2f MiB budget  "
+              first.resident_chunk_peak / 1048576.0, trace_over_budget);
+  std::printf("resident under budget: %.2f MiB budget, every leg of every "
+              "repeat  [%s]\n",
+              budget / 1048576.0, within_budget ? "ok" : "MISS");
+  std::printf("advance slowdown     : budgeted %.2fx [IQR %.2f-%.2f] | "
+              "budgeted+compressed %.2fx [IQR %.2f-%.2f]  (median paired "
+              "ratio of %d repeats, resident %.1f slides/s; bar <= %.1fx)  "
               "[%s]\n",
-              budgeted.resident_chunk_peak / 1048576.0, budget / 1048576.0,
-              within_budget ? "ok" : "MISS");
-  std::printf("advance throughput   : resident %.1f slides/s | budgeted "
-              "%.1f slides/s (%.2fx) | budgeted+compressed %.1f slides/s "
-              "(%.2fx)  (bar <= %.1fx)  [%s]\n",
-              resident_rate, budgeted_rate, slowdown, compressed_rate,
-              compressed_slowdown, slowdown_bar,
-              meets_throughput_bar ? "ok" : "MISS");
+              slowdown, spread.q1, spread.q3, compressed_slowdown,
+              compressed_spread.q1, compressed_spread.q3, repeats,
+              resident_rate, slowdown_bar, verdict);
   std::printf("bytes per interval   : raw %.2f B | compressed %.2f B  =>  "
               "%.2fx compression\n",
               resident.bytes_per_interval(), compressed.bytes_per_interval(),
@@ -292,9 +368,7 @@ int run(int argc, const char* const* argv) {
     out << "  \"rounds\": " << rounds << ",\n";
     out << "  \"budget_bytes\": " << budget << ",\n";
     out << "  \"resident_chunk_bytes_all_resident\": "
-        << resident.resident_chunk_peak << ",\n";
-    out << "  \"resident_chunk_bytes_budgeted_peak\": "
-        << budgeted.resident_chunk_peak << ",\n";
+        << first.resident_chunk_peak << ",\n";
     out << "  \"resident_chunk_bytes_compressed_peak\": "
         << compressed.resident_chunk_peak << ",\n";
     std::snprintf(buf, sizeof buf, "%.6g", trace_over_budget);
@@ -303,16 +377,21 @@ int run(int argc, const char* const* argv) {
         << (within_budget ? "true" : "false") << ",\n";
     std::snprintf(buf, sizeof buf, "%.6g", resident_rate);
     out << "  \"resident_slides_per_s\": " << buf << ",\n";
-    std::snprintf(buf, sizeof buf, "%.6g", budgeted_rate);
-    out << "  \"budgeted_slides_per_s\": " << buf << ",\n";
-    std::snprintf(buf, sizeof buf, "%.6g", compressed_rate);
-    out << "  \"compressed_slides_per_s\": " << buf << ",\n";
-    std::snprintf(buf, sizeof buf, "%.6g", slowdown);
-    out << "  \"slowdown\": " << buf << ",\n";
-    std::snprintf(buf, sizeof buf, "%.6g", compressed_slowdown);
-    out << "  \"compressed_slowdown\": " << buf << ",\n";
+    out << "  \"repeats\": " << repeats << ",\n";
+    const auto emit_spread = [&](const char* key, const RatioSpread& r) {
+      out << "  \"" << key << "\": ";
+      std::snprintf(buf, sizeof buf, "%.6g", r.median);
+      out << buf << ",\n  \"" << key << "_iqr\": [";
+      std::snprintf(buf, sizeof buf, "%.6g", r.q1);
+      out << buf << ", ";
+      std::snprintf(buf, sizeof buf, "%.6g", r.q3);
+      out << buf << "],\n";
+    };
+    emit_spread("slowdown", spread);
+    emit_spread("compressed_slowdown", compressed_spread);
     std::snprintf(buf, sizeof buf, "%.6g", slowdown_bar);
     out << "  \"slowdown_bar\": " << buf << ",\n";
+    out << "  \"slowdown_verdict\": \"" << verdict << "\",\n";
     std::snprintf(buf, sizeof buf, "%.6g", resident.bytes_per_interval());
     out << "  \"raw_bytes_per_interval\": " << buf << ",\n";
     std::snprintf(buf, sizeof buf, "%.6g", compressed.bytes_per_interval());
@@ -324,7 +403,16 @@ int run(int argc, const char* const* argv) {
     std::printf("summary written to %s\n", json_path.c_str());
   }
 
-  return equivalent && within_budget && meets_throughput_bar ? 0 : 2;
+  if (!equivalent || !within_budget || (conclusive && !meets_throughput_bar)) {
+    return 2;
+  }
+  if (!conclusive) {
+    std::printf("inconclusive: the slowdown spread still straddles the "
+                "%.1fx bar after %d repeats\n",
+                slowdown_bar, repeats);
+    return 3;
+  }
+  return 0;
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
-#include "core/triangular_relocate.hpp"
 
 namespace stagg {
 SpatiotemporalAggregator::SpatiotemporalAggregator(
@@ -45,6 +44,11 @@ std::size_t SpatiotemporalAggregator::estimate_bytes(std::size_t node_count,
 
 std::size_t SpatiotemporalAggregator::working_set_bytes(
     std::size_t lanes) const noexcept {
+  return sliding() ? incremental_sweep_bytes(lanes, tri_) : wave_bytes(lanes);
+}
+
+std::size_t SpatiotemporalAggregator::wave_bytes(
+    std::size_t lanes) const noexcept {
   const std::size_t cells = tri_.size();
   const std::size_t node_count = model_->hierarchy().node_count();
   if (options_.kernel == DpKernel::kReference) {
@@ -67,7 +71,20 @@ std::size_t SpatiotemporalAggregator::working_set_bytes(
             levels_[d].size() * (sizeof(double) + sizeof(std::int32_t)));
   }
   return cells * lanes * (node_count * sizeof(std::int32_t) + peak_per_cell) +
-         MeasureCache::estimate_bytes(node_count, tri_.slices());
+         MeasureCache::estimate_bytes(node_count, tri_.capacity());
+}
+
+std::size_t SpatiotemporalAggregator::incremental_sweep_bytes(
+    std::size_t lanes, const TriangularIndex& layout) const noexcept {
+  // The retained pIC/count triangles are the sweep's own matrices (they
+  // are charged by incremental_state_bytes); the sweep adds only the
+  // column-major mirrors of the level being computed.
+  std::size_t widest = 0;
+  for (const auto& level : levels_) widest = std::max(widest, level.size());
+  return layout.window_cells() * lanes * widest *
+             (sizeof(double) + sizeof(std::int32_t)) +
+         MeasureCache::estimate_bytes(model_->hierarchy().node_count(),
+                                      layout.capacity());
 }
 
 void SpatiotemporalAggregator::check_p(double p) const {
@@ -79,7 +96,7 @@ void SpatiotemporalAggregator::check_p(double p) const {
 }
 
 void SpatiotemporalAggregator::check_budget(std::size_t lanes) const {
-  const std::size_t need = working_set_bytes(lanes);
+  const std::size_t need = wave_bytes(lanes);
   if (need > options_.memory_budget_bytes) {
     throw BudgetError("DP working set needs " + std::to_string(need) +
                       " bytes > budget " +
@@ -98,7 +115,7 @@ std::size_t SpatiotemporalAggregator::lane_width(
 void SpatiotemporalAggregator::ensure_measure_cache() {
   if (cache_.built()) return;
   Stopwatch watch;
-  cache_.build(cube_, options_.parallel, options_.shard_plan);
+  cache_.build(cube_, tri_, options_.parallel, options_.shard_plan);
   cache_build_seconds_ = watch.seconds();
 }
 
@@ -155,12 +172,43 @@ void SpatiotemporalAggregator::release(simd::AlignedVec<std::int32_t>&& buf) {
 }
 
 // ---------------------------------------------------------------------------
+// Traceback.
+// ---------------------------------------------------------------------------
+
+template <class CutOf>
+void SpatiotemporalAggregator::extract_partition(Partition& out,
+                                                 const CutOf& cut_of) const {
+  const Hierarchy& h = model_->hierarchy();
+  struct Item {
+    NodeId node;
+    SliceId i, j;
+  };
+  std::vector<Item> stack;
+  stack.push_back({h.root(), 0, tri_.slices() - 1});
+  while (!stack.empty()) {
+    const Item it = stack.back();
+    stack.pop_back();
+    const std::int32_t cut = cut_of(it.node, it.i, it.j);
+    if (cut == it.j) {
+      out.add(it.node, it.i, it.j);
+    } else if (cut == -1) {
+      for (NodeId c : h.node(it.node).children) {
+        stack.push_back({c, it.i, it.j});
+      }
+    } else {
+      stack.push_back({it.node, it.i, static_cast<SliceId>(cut)});
+      stack.push_back({it.node, static_cast<SliceId>(cut + 1), it.j});
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cached lane kernel.
 // ---------------------------------------------------------------------------
 
 SpatiotemporalAggregator::LaneScan SpatiotemporalAggregator::make_scan(
     NodeId node, std::span<const double> ps, double gain_scale,
-    double loss_scale, std::vector<const double*>& child_pic,
+    double loss_scale, bool store_cuts, std::vector<const double*>& child_pic,
     std::vector<const std::int32_t*>& child_cnt) {
   const auto& children = model_->hierarchy().node(node).children;
   child_pic.clear();
@@ -177,7 +225,8 @@ SpatiotemporalAggregator::LaneScan SpatiotemporalAggregator::make_scan(
   scan.mirror = mirror_[static_cast<std::size_t>(node)].data();
   scan.cnt = cnt_[static_cast<std::size_t>(node)].data();
   scan.cnt_mirror = cmirror_[static_cast<std::size_t>(node)].data();
-  scan.cut = cut_[static_cast<std::size_t>(node)].data();
+  scan.cut =
+      store_cuts ? cut_[static_cast<std::size_t>(node)].data() : nullptr;
   scan.child_pic = child_pic.data();
   scan.child_cnt = child_cnt.data();
   scan.n_children = children.size();
@@ -387,7 +436,6 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   double* out_pic = scan.pic + cell * W;
   double* out_mirror =
       scan.mirror + (col_offset(j) + static_cast<std::size_t>(i)) * W;
-  std::int32_t* out_cut = scan.cut + cell * W;
   std::int32_t* out_cnt = scan.cnt + cell * W;
   std::int32_t* out_cmirror =
       scan.cnt_mirror + (col_offset(j) + static_cast<std::size_t>(i)) * W;
@@ -396,7 +444,6 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
       const simd::f64x4 b = simd::f64x4::load(best + w);
       b.store(out_pic + w);
       b.store(out_mirror + w);
-      simd::i32x4::load(best_cut + w).store(out_cut + w);
       const simd::i32x4 c = simd::i32x4::load(best_count + w);
       c.store(out_cnt + w);
       c.store(out_cmirror + w);
@@ -405,10 +452,15 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
     for (int w = 0; w < W; ++w) {
       out_pic[w] = best[w];
       out_mirror[w] = best[w];
-      out_cut[w] = best_cut[w];
       out_cnt[w] = best_count[w];
       out_cmirror[w] = best_count[w];
     }
+  }
+  // Offline waves store the cut for the traceback; incremental sweeps do
+  // not (recompute_cut replays the decision for the cells it visits).
+  if (scan.cut != nullptr) {
+    std::int32_t* out_cut = scan.cut + cell * W;
+    for (int w = 0; w < W; ++w) out_cut[w] = best_cut[w];
   }
 }
 
@@ -466,6 +518,7 @@ void SpatiotemporalAggregator::run_wave(std::span<const double> ps,
   const Hierarchy& h = model_->hierarchy();
   const std::size_t lanes = ps.size();
   const std::size_t lane_cells = tri_.size() * lanes;
+  const std::size_t mirror_cells = tri_.window_cells() * lanes;
 
   double gain_scale = 1.0;
   double loss_scale = 1.0;
@@ -492,12 +545,13 @@ void SpatiotemporalAggregator::run_wave(std::span<const double> ps,
     for (NodeId n : nodes) {
       const auto idx = static_cast<std::size_t>(n);
       pic_[idx] = acquire_dbl(lane_cells);
-      mirror_[idx] = acquire_dbl(lane_cells);
+      mirror_[idx] = acquire_dbl(mirror_cells);
       cnt_[idx] = acquire_i32(lane_cells);
-      cmirror_[idx] = acquire_i32(lane_cells);
+      cmirror_[idx] = acquire_i32(mirror_cells);
       if (cut_[idx].size() != lane_cells) cut_[idx].resize(lane_cells);
     }
-    sweep_level(nodes, ps, gain_scale, loss_scale, /*first_dirty=*/0);
+    sweep_level(nodes, ps, gain_scale, loss_scale, /*first_dirty=*/0,
+                /*store_cuts=*/true);
     // The mirrors are only read by the node's own temporal scans.
     for (NodeId n : nodes) {
       release(std::move(mirror_[static_cast<std::size_t>(n)]));
@@ -505,7 +559,7 @@ void SpatiotemporalAggregator::run_wave(std::span<const double> ps,
     }
   }
 
-  extract_wave_results(ps, out, options_.parallel);
+  extract_wave_results(ps, out, options_.parallel, /*stored_cuts=*/true);
 
   // Return the last two levels' buffers to the arena; nothing is freed, so
   // the next wave (same |T| and width) allocates nothing.
@@ -517,12 +571,13 @@ void SpatiotemporalAggregator::sweep_level(std::span<const NodeId> nodes,
                                            std::span<const double> ps,
                                            double gain_scale,
                                            double loss_scale,
-                                           SliceId first_dirty) {
+                                           SliceId first_dirty,
+                                           bool store_cuts) {
   const auto sweep = [&](std::size_t k) {
     std::vector<const double*> child_pic;
     std::vector<const std::int32_t*> child_cnt;
-    const LaneScan scan =
-        make_scan(nodes[k], ps, gain_scale, loss_scale, child_pic, child_cnt);
+    const LaneScan scan = make_scan(nodes[k], ps, gain_scale, loss_scale,
+                                    store_cuts, child_pic, child_cnt);
     compute_node_lanes(scan, first_dirty);
   };
   // A single-node level (notably the root) runs on the caller thread:
@@ -537,7 +592,7 @@ void SpatiotemporalAggregator::sweep_level(std::span<const NodeId> nodes,
 
 void SpatiotemporalAggregator::extract_wave_results(
     std::span<const double> ps, std::vector<AggregationResult>& out,
-    bool parallel) {
+    bool parallel, bool stored_cuts) {
   const Hierarchy& h = model_->hierarchy();
   const std::size_t lanes = ps.size();
   const std::size_t root_cell = tri_(0, tri_.slices() - 1);
@@ -549,7 +604,19 @@ void SpatiotemporalAggregator::extract_wave_results(
     AggregationResult& result = out[base + lane];
     result.p = ps[lane];
     result.optimal_pic = pic_[root_idx][root_cell * lanes + lane];
-    extract_partition(result.partition, lane, lanes);
+    if (stored_cuts) {
+      extract_partition(result.partition,
+                        [&](NodeId node, SliceId i, SliceId j) {
+                          return cut_[static_cast<std::size_t>(node)]
+                                     [tri_(i, j) * lanes + lane];
+                        });
+    } else {
+      extract_partition(result.partition,
+                        [&](NodeId node, SliceId i, SliceId j) {
+                          return recompute_cut(node, i, j, lane, lanes,
+                                               ps[lane]);
+                        });
+    }
     result.partition.canonicalize(h);
     for (const auto& a : result.partition.areas()) {
       result.measures += area_measures(a.node, a.time.i, a.time.j);
@@ -574,6 +641,16 @@ AggregationResult SpatiotemporalAggregator::run_cached(double p) {
 // Incremental re-aggregation: window splicing + dirty-column DP sweeps.
 // ---------------------------------------------------------------------------
 
+TriangularIndex SpatiotemporalAggregator::next_layout(
+    std::int32_t new_t, std::int32_t dropped_front) const {
+  const std::int32_t cap = sliding() ? new_t + window_slack(new_t) : new_t;
+  if (new_t == tri_.slices() && cap == tri_.capacity() &&
+      tri_.origin() + dropped_front + new_t <= cap) {
+    return TriangularIndex(new_t, cap, tri_.origin() + dropped_front);
+  }
+  return TriangularIndex(new_t, cap, 0);
+}
+
 void SpatiotemporalAggregator::apply_window_update(std::int32_t dropped_front,
                                                    SliceId first_dirty) {
   const std::int32_t old_t = tri_.slices();
@@ -589,50 +666,36 @@ void SpatiotemporalAggregator::apply_window_update(std::int32_t dropped_front,
   const SliceId dirty =
       std::clamp<SliceId>(std::min(first_dirty, fresh_from), 0, new_t);
 
-  cube_.reshape_slices(new_t, dropped_front);
+  // Every structure follows the same layout decision, so the cube, the
+  // cache and the retained triangles compact on the same slide.
+  const TriangularIndex next = next_layout(new_t, dropped_front);
+  relocated_cells_ += cube_.reshape_slices(next, dropped_front);
   cube_.recompute_slices(dirty, options_.parallel);
-
-  const TriangularIndex new_tri(new_t);
-  if (cache_.built()) {
-    cache_.reshape(new_t, dropped_front);
-    cache_.update(cube_, dirty, options_.parallel, options_.shard_plan);
-  }
+  relocated_cells_ += cache_.reshape(next, dropped_front);
+  cache_.update(cube_, dirty, options_.parallel, options_.shard_plan);
 
   if (inc_ && inc_->valid) {
-    // Relocate every wave's retained row-major matrices; the column-major
-    // mirrors are not retained (see WaveDpState).
     for (WaveDpState& wave : inc_->waves) {
       for (auto& buf : wave.pic) {
-        reshape_packed_triangles(buf, tri_, new_tri, dropped_front,
-                                 wave.lanes, 1);
+        relocated_cells_ +=
+            relocate_triangles(buf, tri_, next, dropped_front, wave.lanes, 1);
       }
       for (auto& buf : wave.cnt) {
-        reshape_packed_triangles(buf, tri_, new_tri, dropped_front,
-                                 wave.lanes, 1);
-      }
-      for (auto& buf : wave.cut) {
-        reshape_packed_triangles(buf, tri_, new_tri, dropped_front,
-                                 wave.lanes, 1);
-        // pIC and count are coordinate-free, but cut values are *absolute
-        // slice indices* (cut == j marks an aggregate, cut in [i, j) a
-        // temporal split position): a dropped prefix shifts them all.
-        // Dirty cells are about to be recomputed anyway; -1 (spatial cut)
-        // is preserved.
-        if (dropped_front > 0) {
-          for (auto& c : buf) {
-            if (c >= 0) c -= dropped_front;
-          }
-        }
+        relocated_cells_ +=
+            relocate_triangles(buf, tri_, next, dropped_front, wave.lanes, 1);
       }
     }
     // Prior staleness shifts with the window; combine with this update.
     const SliceId prior = std::clamp<SliceId>(
         inc_dirty_ - dropped_front, 0, new_t);
     inc_dirty_ = std::min(prior, dirty);
+    if (dropped_front != 0 || new_t != old_t || dirty < new_t) {
+      inc_->results_current = false;
+    }
   } else {
     inc_dirty_ = 0;
   }
-  tri_ = new_tri;
+  tri_ = next;
 }
 
 std::size_t SpatiotemporalAggregator::incremental_state_bytes()
@@ -642,9 +705,58 @@ std::size_t SpatiotemporalAggregator::incremental_state_bytes()
   for (const WaveDpState& wave : inc_->waves) {
     for (const auto& buf : wave.pic) bytes += buf.size() * sizeof(double);
     for (const auto& buf : wave.cnt) bytes += buf.size() * sizeof(std::int32_t);
-    for (const auto& buf : wave.cut) bytes += buf.size() * sizeof(std::int32_t);
   }
   return bytes;
+}
+
+std::int32_t SpatiotemporalAggregator::recompute_cut(
+    NodeId node, SliceId i, SliceId j, std::size_t lane, std::size_t lanes,
+    double p) const noexcept {
+  // The sweep's candidates in the sweep's order and arithmetic (see
+  // compute_cell_lanes): the aggregate term (gain/loss scales are 1 —
+  // incremental runs reject normalize — and x * 1.0 is exact), the
+  // spatial sum over the children in child order, then the temporal cuts
+  // ascending as pIC(i, c) + pIC(c + 1, j), skipping those below the
+  // candidate screen's loose floor as the sweep does.  Every state change
+  // goes through detail::reference_accepts, and the screen never drops a
+  // state-changing candidate, so this returns the cut the sweep chose.
+  const auto idx = static_cast<std::size_t>(node);
+  const std::size_t row = tri_.row_offset(i);
+  const std::size_t cell = row + static_cast<std::size_t>(j - i);
+  const AreaMeasures& m = cache_.node_data(node)[cell];
+  double best = p * m.gain - (1.0 - p) * m.loss;
+  std::int32_t best_cut = j;
+  std::int32_t best_count = 1;
+  double floor = detail::screen_floor(best);
+  const auto challenge = [&](double v, std::int32_t count,
+                             std::int32_t cut) {
+    if (!detail::reference_accepts(best, best_count, v, count)) return;
+    best = std::max(best, v);
+    best_cut = cut;
+    best_count = count;
+    floor = detail::screen_floor(best);
+  };
+  const auto& children = model_->hierarchy().node(node).children;
+  if (!children.empty()) {
+    double sum = 0.0;
+    std::int32_t count = 0;
+    for (NodeId c : children) {
+      const auto ci = static_cast<std::size_t>(c);
+      sum += pic_[ci][cell * lanes + lane];
+      count += cnt_[ci][cell * lanes + lane];
+    }
+    challenge(sum, count, -1);
+  }
+  const double* pic = pic_[idx].data();
+  const std::int32_t* cnt = cnt_[idx].data();
+  for (SliceId c = i; c < j; ++c) {
+    const std::size_t left =
+        (row + static_cast<std::size_t>(c - i)) * lanes + lane;
+    const std::size_t right = tri_(c + 1, j) * lanes + lane;
+    const double v = pic[left] + pic[right];
+    if (v >= floor) challenge(v, cnt[left] + cnt[right], c);
+  }
+  return best_cut;
 }
 
 void SpatiotemporalAggregator::run_wave_incremental(
@@ -653,22 +765,20 @@ void SpatiotemporalAggregator::run_wave_incremental(
   const Hierarchy& h = model_->hierarchy();
   const std::size_t lanes = ps.size();
   const std::size_t lane_cells = tri_.size() * lanes;
+  const std::size_t mirror_cells = tri_.window_cells() * lanes;
   const std::size_t node_count = h.node_count();
 
   state.lanes = lanes;
   state.pic.resize(node_count);
   state.cnt.resize(node_count);
-  state.cut.resize(node_count);
   // Adopt the retained buffers into the member slots the scan builders
   // read; vectors move by pointer swap.  Fresh (empty) buffers are sized
   // here — their cells are all covered by a first_dirty == 0 sweep.
   for (std::size_t n = 0; n < node_count; ++n) {
     pic_[n] = std::move(state.pic[n]);
     cnt_[n] = std::move(state.cnt[n]);
-    cut_[n] = std::move(state.cut[n]);
     if (pic_[n].size() != lane_cells) pic_[n].resize(lane_cells);
     if (cnt_[n].size() != lane_cells) cnt_[n].resize(lane_cells);
-    if (cut_[n].size() != lane_cells) cut_[n].resize(lane_cells);
   }
 
   if (first_dirty < tri_.slices()) {
@@ -676,11 +786,11 @@ void SpatiotemporalAggregator::run_wave_incremental(
       const auto& nodes = levels_[d];
       for (NodeId n : nodes) {
         const auto idx = static_cast<std::size_t>(n);
-        mirror_[idx] = acquire_dbl(lane_cells);
-        cmirror_[idx] = acquire_i32(lane_cells);
+        mirror_[idx] = acquire_dbl(mirror_cells);
+        cmirror_[idx] = acquire_i32(mirror_cells);
       }
       sweep_level(nodes, ps, /*gain_scale=*/1.0, /*loss_scale=*/1.0,
-                  first_dirty);
+                  first_dirty, /*store_cuts=*/false);
       for (NodeId n : nodes) {
         release(std::move(mirror_[static_cast<std::size_t>(n)]));
         release(std::move(cmirror_[static_cast<std::size_t>(n)]));
@@ -690,13 +800,12 @@ void SpatiotemporalAggregator::run_wave_incremental(
 
   // Serial: SessionManager already advances sessions in parallel, and a
   // live window's partitions are too small to repay a pool dispatch.
-  extract_wave_results(ps, out, /*parallel=*/false);
+  extract_wave_results(ps, out, /*parallel=*/false, /*stored_cuts=*/false);
 
   // Return the matrices to the retained checkpoint for the next advance.
   for (std::size_t n = 0; n < node_count; ++n) {
     state.pic[n] = std::move(pic_[n]);
     state.cnt[n] = std::move(cnt_[n]);
-    state.cut[n] = std::move(cut_[n]);
   }
 }
 
@@ -717,24 +826,36 @@ std::vector<AggregationResult> SpatiotemporalAggregator::run_incremental(
   if (ps.empty()) return results;
   const std::size_t width = lane_width(ps.size());
   const std::size_t waves = (ps.size() + width - 1) / width;
+  const bool fresh =
+      !inc_ || !inc_->valid || inc_->width != width ||
+      inc_->ps.size() != ps.size() ||
+      !std::equal(inc_->ps.begin(), inc_->ps.end(), ps.begin());
+  if (!fresh && inc_->results_current) return inc_->results;
+
   // Budget: the sweep working set plus the retained checkpoint (pIC +
-  // count + cut per cell per lane, every node, every wave).
-  const std::size_t retained =
-      waves * model_->hierarchy().node_count() * tri_.size() * width *
-      (sizeof(double) + 2 * sizeof(std::int32_t));
-  const std::size_t need = working_set_bytes(width) + retained;
+  // count per storage cell per lane, every node, every wave), both over
+  // the sliding layout they will occupy.
+  const std::int32_t t = tri_.slices();
+  const TriangularIndex layout =
+      sliding() ? tri_ : TriangularIndex(t, t + window_slack(t), 0);
+  const std::size_t retained = model_->hierarchy().node_count() *
+                               layout.size() * ps.size() *
+                               (sizeof(double) + sizeof(std::int32_t));
+  const std::size_t need = incremental_sweep_bytes(width, layout) + retained;
   if (need > options_.memory_budget_bytes) {
     throw BudgetError("incremental DP working set + retained state need " +
                       std::to_string(need) + " bytes > budget " +
                       std::to_string(options_.memory_budget_bytes) +
                       "; reduce |T|, the lane width, or raise the budget");
   }
+  if (!sliding()) {
+    // Switch to the sliding layout once; offline structures re-lay out.
+    relocated_cells_ += cube_.reshape_slices(layout, 0);
+    relocated_cells_ += cache_.reshape(layout, 0);
+    tri_ = layout;
+  }
   ensure_measure_cache();
 
-  const bool fresh =
-      !inc_ || !inc_->valid || inc_->width != width ||
-      inc_->ps.size() != ps.size() ||
-      !std::equal(inc_->ps.begin(), inc_->ps.end(), ps.begin());
   if (fresh) {
     inc_ = std::make_unique<IncrementalDp>();
     inc_->ps.assign(ps.begin(), ps.end());
@@ -747,6 +868,7 @@ std::vector<AggregationResult> SpatiotemporalAggregator::run_incremental(
   // failure past the budget check, cancellation), the retained buffers are
   // partially moved out and must not be spliced from on a retry.
   inc_->valid = false;
+  inc_->results_current = false;
 
   results.reserve(ps.size());
   for (std::size_t w = 0; w < waves; ++w) {
@@ -756,6 +878,8 @@ std::vector<AggregationResult> SpatiotemporalAggregator::run_incremental(
         inc_->waves[w], first_dirty, results);
   }
   inc_->valid = true;
+  inc_->results = results;
+  inc_->results_current = true;
   inc_dirty_ = tri_.slices();
   return results;
 }
@@ -888,7 +1012,9 @@ AggregationResult SpatiotemporalAggregator::run_reference(double p) {
   result.p = p;
   result.optimal_pic = pic_[static_cast<std::size_t>(h.root())]
                            [tri_(0, tri_.slices() - 1)];
-  extract_partition(result.partition, /*lane=*/0, /*lanes=*/1);
+  extract_partition(result.partition, [&](NodeId node, SliceId i, SliceId j) {
+    return cut_[static_cast<std::size_t>(node)][tri_(i, j)];
+  });
   result.partition.canonicalize(h);
   for (const auto& a : result.partition.areas()) {
     result.measures += cube_.measures(a.node, a.time.i, a.time.j);
@@ -904,35 +1030,6 @@ AggregationResult SpatiotemporalAggregator::run_reference(double p) {
 // ---------------------------------------------------------------------------
 // Public entry points.
 // ---------------------------------------------------------------------------
-
-void SpatiotemporalAggregator::extract_partition(Partition& out,
-                                                 std::size_t lane,
-                                                 std::size_t lanes) const {
-  const Hierarchy& h = model_->hierarchy();
-  struct Item {
-    NodeId node;
-    SliceId i, j;
-  };
-  std::vector<Item> stack;
-  stack.push_back({h.root(), 0, tri_.slices() - 1});
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    const std::int32_t cut =
-        cut_[static_cast<std::size_t>(it.node)][tri_(it.i, it.j) * lanes +
-                                                lane];
-    if (cut == it.j) {
-      out.add(it.node, it.i, it.j);
-    } else if (cut == -1) {
-      for (NodeId c : h.node(it.node).children) {
-        stack.push_back({c, it.i, it.j});
-      }
-    } else {
-      stack.push_back({it.node, it.i, static_cast<SliceId>(cut)});
-      stack.push_back({it.node, static_cast<SliceId>(cut + 1), it.j});
-    }
-  }
-}
 
 AggregationResult SpatiotemporalAggregator::run(double p) {
   check_p(p);

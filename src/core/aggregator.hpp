@@ -7,6 +7,10 @@
 //                 cut == j        the area itself is an aggregate ("no cut")
 //                 cut == -1       spatial cut into the children of S_k
 //                 cut in [i, j)   temporal cut between slices cut and cut+1
+// Offline runs store cut[] for every node and trace the partition back
+// through it.  Incremental (sliding-window) runs keep only pIC and the
+// area count and recompute the cut of each cell the traceback visits —
+// see the incremental section below.
 // Children are processed before parents (post-order); sibling subtrees are
 // independent and processed in parallel, level by level.  A level with a
 // single node (notably the root) is swept serially on the caller thread.
@@ -245,11 +249,17 @@ class SpatiotemporalAggregator {
                                                   std::size_t lanes = 1);
 
   /// Precise peak working set of this aggregator's next run at lane width
-  /// `lanes`: cut matrices for all nodes + the measure cache + pooled
-  /// pIC/count matrices of the two widest adjacent levels + the mirror of
-  /// the widest level (cached kernel; the per-cell DP state scales with
-  /// `lanes`, the measure cache does not), or the whole-tree pIC/cut/count
-  /// set (reference kernel, lane-oblivious).
+  /// `lanes`, as allocated:
+  ///   * offline (cached kernel): cut matrices for all nodes + the measure
+  ///     cache + pooled pIC/count matrices of the two widest adjacent
+  ///     levels + the mirrors of the widest level (the per-cell DP state
+  ///     scales with `lanes`, the measure cache does not);
+  ///   * reference kernel: the whole-tree pIC/cut/count set (lane-
+  ///     oblivious);
+  ///   * sliding (after the first run_incremental): the mirrors of the
+  ///     widest level over the window's cells + the measure cache over its
+  ///     capacity triangle.  The retained pIC/count triangles are reported
+  ///     apart, by incremental_state_bytes(), and no cut matrix is held.
   [[nodiscard]] std::size_t working_set_bytes(
       std::size_t lanes = 1) const noexcept;
 
@@ -269,22 +279,37 @@ class SpatiotemporalAggregator {
   //   * every per-slice column >= `first_dirty` (new indexing) may differ,
   //     every column before it is bit-identical,
   // and |T| may have changed (extension/contraction).  apply_window_update
-  // then splices all derived state: the cube's per-slice columns are
-  // remapped and the dirty suffix recomputed, the measure cache's triangle
-  // is relocated (new cell (i,j) = old cell (i+k, j+k), exact under the
-  // translation-invariant convention of cube.hpp) and its dirty columns
-  // refilled, and the retained DP matrices of an active incremental
-  // session are remapped the same way.
+  // then splices all derived state: the cube's per-slice columns, the
+  // measure cache's triangle and the retained DP triangles all follow the
+  // window (new cell (i, j) = old cell (i+k, j+k), exact under the
+  // translation-invariant convention of cube.hpp), and the cube's and the
+  // cache's dirty columns are recomputed.
+  //
+  // Layout: the first run_incremental switches the aggregator to the
+  // sliding layout — the cube, the measure cache and every retained
+  // triangle span C = |T| + window_slack(|T|) columns addressed through a
+  // shared window origin (core/interval.hpp).  A slide by k moves the
+  // origin and touches no retained cell; when the origin would run past
+  // the capacity, one in-place compaction moves the surviving cells back to
+  // origin 0 (once every ceil((s + 1) / k) slides of k columns).  Only a
+  // changed |T| (extend/contract) re-lays everything out into the new
+  // |T|'s layout.  relocated_cells() counts what was moved.  Offline runs
+  // (run/run_many) keep capacity |T| and origin 0.
   //
   // run_incremental(ps) then re-runs the DP **only over cells whose column
   // is dirty** — the dirty-column invariant: a DP cell (i, j) depends
   // solely on measures and sub-cells inside [i, j], so every cell with
   // j < first_dirty is provably bit-identical to its previous value and is
-  // restored from the retained checkpoint instead of recomputed.  Results
-  // are bit-identical to a from-scratch run_many(ps) on the new window at
-  // any lane width.  The retained state (pIC + cut + count for every node,
-  // per wave) is what working_set accounting charges via
-  // incremental_state_bytes(); it always reflects the post-advance |T|.
+  // kept from the retained state instead of recomputed.  The retained
+  // state is pIC + area count for every node, per wave; cut is not kept.
+  // The traceback recomputes the cut of each cell it visits by replaying
+  // the sweep's candidates in the sweep's order and arithmetic (aggregate,
+  // spatial child sum in child order, temporal cuts ascending, each
+  // decided by detail::reference_accepts), so it picks the sweep's cut by
+  // construction.  Results are bit-identical to a from-scratch
+  // run_many(ps) on the new window at any lane width.  When the window
+  // did not move and nothing is dirty, run_incremental returns the
+  // retained results without a sweep or a traceback.
   //
   // Requires a cached kernel (kReference has no retained form) and
   // normalize == false (the root normalization scales change with every
@@ -292,16 +317,19 @@ class SpatiotemporalAggregator {
   // -------------------------------------------------------------------------
 
   /// Splices cube, measure cache and retained DP state after an in-place
-  /// model-window mutation; see the contract above.  Cheap (proportional
-  /// to the dirty suffix plus one relocation pass); performs no DP run.
+  /// model-window mutation; see the contract above.  Costs the dirty
+  /// suffix (cube columns and cache columns); a slide moves no retained
+  /// cell except at a compaction.  Performs no DP run.
   void apply_window_update(std::int32_t dropped_front, SliceId first_dirty);
 
   /// Batched sweep reusing the previous sweep's DP state: recomputes only
   /// dirty columns (everything, on the first call or when `ps`/the lane
   /// width change) and returns one result per parameter — bit-identical to
   /// run_many(ps) on the current window.  Throws InvalidArgument on the
-  /// reference kernel or normalize == true; BudgetError when working set +
-  /// retained state exceed the budget.
+  /// reference kernel or normalize == true; BudgetError when the sliding
+  /// working set + the retained state (working_set_bytes(width) +
+  /// incremental_state_bytes() as they will be allocated) exceed the
+  /// budget.
   [[nodiscard]] std::vector<AggregationResult> run_incremental(
       std::span<const double> ps);
 
@@ -312,9 +340,18 @@ class SpatiotemporalAggregator {
   /// Releases the retained per-wave DP state (the next run_incremental
   /// recomputes everything).
   void reset_incremental() noexcept { inc_.reset(); }
-  /// Bytes held by the retained incremental DP state (pIC + count + cut
-  /// per cell per lane, every node, every wave) at the current |T|.
+  /// Bytes held by the retained incremental DP state: pIC (8 B) + count
+  /// (4 B) per storage cell per lane — the triangle over the window's
+  /// capacity |T| + window_slack(|T|) — every node, every wave.
   [[nodiscard]] std::size_t incremental_state_bytes() const noexcept;
+
+  /// Cumulative number of cells moved by window compactions and re-layouts:
+  /// (node, cell) positions summed over the measure cache and every
+  /// retained pIC and count triangle, plus (node, slice) columns of the
+  /// cube.  A slide into free capacity adds 0.
+  [[nodiscard]] std::size_t relocated_cells() const noexcept {
+    return relocated_cells_;
+  }
 
  private:
   /// Pointers and parameters of one node's DP sweep over one wave of W
@@ -327,7 +364,7 @@ class SpatiotemporalAggregator {
     double* mirror = nullptr;               ///< column-major pIC mirror
     std::int32_t* cnt = nullptr;
     std::int32_t* cnt_mirror = nullptr;     ///< column-major count mirror
-    std::int32_t* cut = nullptr;
+    std::int32_t* cut = nullptr;            ///< nullptr: cuts not stored
     const double* const* child_pic = nullptr;
     const std::int32_t* const* child_cnt = nullptr;
     std::size_t n_children = 0;
@@ -345,22 +382,45 @@ class SpatiotemporalAggregator {
   }
 
   /// Retained DP matrices of one lane wave (incremental sessions): the
-  /// row-major pIC/count/cut triangles of every node.  The column-major
-  /// mirrors are *not* retained — a dirty column's mirror entries are
-  /// always rewritten before they are read, so mirrors live in the pooled
-  /// arena only while a level is being swept.
+  /// row-major pIC and count triangles of every node, in the aggregator's
+  /// origin-addressed sliding layout (tri_: capacity |T| + slack, shared
+  /// window origin).  No cut is kept — the traceback recomputes the cuts
+  /// it visits (recompute_cut).  The column-major mirrors are not retained
+  /// either — a dirty column's mirror entries are always rewritten before
+  /// they are read, so mirrors live in the pooled arena only while a level
+  /// is being swept.
   struct WaveDpState {
     std::size_t lanes = 0;
     std::vector<simd::AlignedVec<double>> pic;        ///< per node
     std::vector<simd::AlignedVec<std::int32_t>> cnt;  ///< per node
-    std::vector<simd::AlignedVec<std::int32_t>> cut;  ///< per node
   };
   struct IncrementalDp {
     std::vector<double> ps;           ///< session probe list, wave-ordered
     std::size_t width = 1;            ///< full-wave lane width
     std::vector<WaveDpState> waves;
+    /// Results of the latest run; returned as-is while they are current
+    /// (no window move and no dirty column since).
+    std::vector<AggregationResult> results;
+    bool results_current = false;
     bool valid = false;
   };
+
+  /// True once run_incremental switched to the origin-addressed layout
+  /// (capacity |T| + window_slack(|T|) > |T|).
+  [[nodiscard]] bool sliding() const noexcept {
+    return tri_.capacity() > tri_.slices();
+  }
+  /// Layout after a window change to `new_t` slices that dropped
+  /// `dropped_front`: the origin advances when the window still fits the
+  /// capacity; otherwise (compaction, or a changed |T|) it restarts at 0.
+  [[nodiscard]] TriangularIndex next_layout(std::int32_t new_t,
+                                            std::int32_t dropped_front) const;
+  /// Working set of an offline wave (run/run_many) at the current layout.
+  [[nodiscard]] std::size_t wave_bytes(std::size_t lanes) const noexcept;
+  /// Working set of an incremental sweep over `layout`: mirrors of the
+  /// widest level over the window cells + the measure cache.
+  [[nodiscard]] std::size_t incremental_sweep_bytes(
+      std::size_t lanes, const TriangularIndex& layout) const noexcept;
 
   void ensure_measure_cache();
   void check_p(double p) const;
@@ -383,16 +443,18 @@ class SpatiotemporalAggregator {
                             std::vector<AggregationResult>& out);
   /// Assembles one AggregationResult per lane from the member DP matrices
   /// (shared tail of run_wave and run_wave_incremental); `parallel` runs
-  /// one pool task per lane.
+  /// one pool task per lane.  `stored_cuts` traces back through cut_;
+  /// otherwise each visited cut is recomputed (recompute_cut).
   void extract_wave_results(std::span<const double> ps,
                             std::vector<AggregationResult>& out,
-                            bool parallel);
+                            bool parallel, bool stored_cuts);
   /// Sweeps one level's nodes over the cells with j >= first_dirty:
   /// sibling subtrees in parallel, single-node levels (notably the root)
   /// serially on the caller thread — the shared scheduling of run_wave and
-  /// run_wave_incremental.
+  /// run_wave_incremental.  `store_cuts` writes cut_ (offline waves).
   void sweep_level(std::span<const NodeId> nodes, std::span<const double> ps,
-                   double gain_scale, double loss_scale, SliceId first_dirty);
+                   double gain_scale, double loss_scale, SliceId first_dirty,
+                   bool store_cuts);
 
   /// Filtered = false drops the candidate screen and evaluates the
   /// reference predicate at every cut — the kCachedSolo
@@ -414,10 +476,20 @@ class SpatiotemporalAggregator {
                               double loss_scale);
   [[nodiscard]] LaneScan make_scan(NodeId node, std::span<const double> ps,
                                    double gain_scale, double loss_scale,
+                                   bool store_cuts,
                                    std::vector<const double*>& child_pic,
                                    std::vector<const std::int32_t*>& child_cnt);
-  void extract_partition(Partition& out, std::size_t lane,
-                         std::size_t lanes) const;
+  /// Traces the optimal partition back from the root cell; `cut_of(node,
+  /// i, j)` yields the first cut of a visited cell.
+  template <class CutOf>
+  void extract_partition(Partition& out, const CutOf& cut_of) const;
+  /// The sweep's cut decision for lane `lane` of window cell (node, i, j),
+  /// replayed from the retained pIC/count of the node, its children and
+  /// its sub-cells (incremental runs, scales 1).
+  [[nodiscard]] std::int32_t recompute_cut(NodeId node, SliceId i, SliceId j,
+                                           std::size_t lane,
+                                           std::size_t lanes,
+                                           double p) const noexcept;
 
   // Buffer pool: pIC/mirror/count matrices hold tri_.size() * W cells, so a
   // released buffer is recycled with at most a cheap resize when the lane
@@ -436,6 +508,10 @@ class SpatiotemporalAggregator {
   const MicroscopicModel* model_;
   AggregationOptions options_;
   DataCube cube_;
+  /// Cell layout shared by the measure cache and every DP matrix:
+  /// capacity |T| and origin 0 offline, the origin-addressed sliding
+  /// layout once run_incremental ran.  Column-major mirrors are indexed by
+  /// window cell (col_offset) and sized by tri_.window_cells().
   TriangularIndex tri_;
   std::vector<std::vector<NodeId>> levels_;  ///< nodes grouped by depth
   MeasureCache cache_;                       ///< p-independent (gain, loss)
@@ -446,7 +522,7 @@ class SpatiotemporalAggregator {
   /// Column-major mirrors of cnt_, so the tie-breaker's right operand
   /// count(c+1, j) is a contiguous read like the pIC mirror's.
   std::vector<simd::AlignedVec<std::int32_t>> cmirror_;
-  /// Per-node packed cuts.
+  /// Per-node packed cuts (offline runs only).
   std::vector<simd::AlignedVec<std::int32_t>> cut_;
   /// Area count of the optimal sub-partition per cell; used only as the
   /// tie-breaker that keeps equal-pIC partitions maximally coarse.
@@ -458,6 +534,7 @@ class SpatiotemporalAggregator {
   /// checkpoint; tri_.slices() when clean.  Maintained by
   /// apply_window_update, reset by run_incremental.
   SliceId inc_dirty_ = 0;
+  std::size_t relocated_cells_ = 0;  ///< see relocated_cells()
 };
 
 }  // namespace stagg

@@ -16,7 +16,8 @@ namespace stagg {
 DataCube::DataCube(const MicroscopicModel& model, const ShardPlan* plan)
     : model_(&model),
       n_t_(model.slice_count()),
-      n_x_(model.state_count()) {
+      n_x_(model.state_count()),
+      cap_(model.slice_count()) {
   const Hierarchy& h = model.hierarchy();
   // A plan partitions one specific hierarchy; a cube over any other (a
   // scoped session's sub-hierarchy) falls back to the serial merge —
@@ -137,9 +138,19 @@ void DataCube::audit() const {
          " doubles for " + std::to_string(h.node_count()) + " nodes of " +
          std::to_string(node_stride));
   }
-  for (std::size_t k = 0; k < data_.size(); ++k) {
-    if (!std::isfinite(data_[k])) {
-      fail("non-finite entry at flat index " + std::to_string(k));
+  // Only the window rows are checked: spare rows hold stale columns.
+  const std::size_t window = static_cast<std::size_t>(n_t_) *
+                             static_cast<std::size_t>(n_x_);
+  for (std::size_t ni = 0; ni < h.node_count(); ++ni) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      const double* entries = plane(static_cast<NodeId>(ni), p);
+      for (std::size_t k = 0; k < window; ++k) {
+        if (!std::isfinite(entries[k])) {
+          fail("node " + std::to_string(ni) + " plane " + std::to_string(p) +
+               " has a non-finite entry at window index " +
+               std::to_string(k));
+        }
+      }
     }
   }
   // Leaf-additivity, bit-exact: the build merges children in child order
@@ -152,7 +163,7 @@ void DataCube::audit() const {
     if (n.children.empty()) continue;
     for (std::size_t p = 0; p < 3; ++p) {
       const double* parent = plane(id, p);
-      for (std::size_t k = 0; k < plane_stride(); ++k) {
+      for (std::size_t k = 0; k < window; ++k) {
         double acc = 0.0;
         for (NodeId child : n.children) acc += plane(child, p)[k];
         if (parent[k] != acc) {
@@ -165,41 +176,64 @@ void DataCube::audit() const {
   }
 }
 
-void DataCube::reshape_slices(std::int32_t new_count, std::int32_t src_shift) {
-  if (new_count < 1) {
-    throw InvalidArgument("DataCube::reshape_slices: empty window");
+std::size_t DataCube::reshape_slices(const TriangularIndex& layout,
+                                     std::int32_t src_shift) {
+  const std::int32_t new_count = layout.slices();
+  if (new_count < 1 || src_shift < 0) {
+    throw InvalidArgument("DataCube::reshape_slices: invalid window delta");
   }
   if (new_count != model_->slice_count()) {
     throw InvalidArgument(
         "DataCube::reshape_slices: model window must be updated first");
   }
-  if (new_count == n_t_ && src_shift == 0) return;  // identity
   const Hierarchy& h = model_->hierarchy();
-  // One stripe per (node, plane): an n_t x n_x row-major matrix whose
-  // slice rows are contiguous, so the column overlap is one memcpy.
   const std::size_t row = static_cast<std::size_t>(n_x_);
+  // One stripe per (node, plane): a cap x n_x row-major matrix whose slice
+  // rows are contiguous, so the surviving column run is one memmove.
   const std::size_t stripes = h.node_count() * 3;
-  const std::size_t old_stride = static_cast<std::size_t>(n_t_) * row;
-  const std::size_t new_stride = static_cast<std::size_t>(new_count) * row;
-  simd::AlignedVec<double> next(stripes * new_stride, 0.0);
-  // Column t of the new window held old column t + src_shift: copy the
-  // overlap bit-exactly; columns with no old counterpart stay zero until
-  // recompute_slices fills them.
-  const SliceId copy_begin = std::max<SliceId>(0, -src_shift);
-  const SliceId copy_end = std::min<SliceId>(new_count, n_t_ - src_shift);
-  if (copy_begin < copy_end) {
-    const std::size_t n = static_cast<std::size_t>(copy_end - copy_begin) * row;
-    for (std::size_t stripe = 0; stripe < stripes; ++stripe) {
-      std::memcpy(
-          next.data() + stripe * new_stride +
-              static_cast<std::size_t>(copy_begin) * row,
-          data_.data() + stripe * old_stride +
-              static_cast<std::size_t>(copy_begin + src_shift) * row,
-          n * sizeof(double));
+  const SliceId keep = std::max<SliceId>(0, std::min(new_count,
+                                                     n_t_ - src_shift));
+  const std::size_t run = static_cast<std::size_t>(keep) * row;
+  const std::size_t src_row = static_cast<std::size_t>(origin_ + src_shift);
+  const std::size_t dst_row = static_cast<std::size_t>(layout.origin());
+  const std::size_t moved = h.node_count() * static_cast<std::size_t>(keep);
+  if (layout.capacity() == cap_) {
+    n_t_ = new_count;
+    if (dst_row == src_row) {  // slide into spare rows
+      origin_ = layout.origin();
+      return 0;
     }
+    // Compaction: destinations precede their sources, so one memmove per
+    // stripe is safe in place.
+    for (std::size_t stripe = 0; run > 0 && stripe < stripes; ++stripe) {
+      double* base = data_.data() + stripe * plane_stride();
+      std::memmove(base + dst_row * row, base + src_row * row,
+                   run * sizeof(double));
+    }
+    origin_ = layout.origin();
+    return moved;
+  }
+  // Re-layout for a changed capacity: the surviving run of each stripe
+  // lands at the new origin of a fresh buffer, the rest of the stripe is
+  // zeroed (every element written once).
+  const std::size_t new_stride =
+      static_cast<std::size_t>(layout.capacity()) * row;
+  simd::AlignedVec<double> next;
+  next.reserve(stripes * new_stride);
+  for (std::size_t stripe = 0; stripe < stripes; ++stripe) {
+    next.resize(next.size() + dst_row * row);
+    if (run > 0) {
+      const double* src =
+          data_.data() + stripe * plane_stride() + src_row * row;
+      next.insert(next.end(), src, src + run);
+    }
+    next.resize((stripe + 1) * new_stride);
   }
   data_ = std::move(next);
   n_t_ = new_count;
+  cap_ = layout.capacity();
+  origin_ = layout.origin();
+  return moved;
 }
 
 namespace {

@@ -25,6 +25,15 @@
 //     cell — the unit of incremental recomputation.
 // Each slice column is independent of every other (no cross-slice prefix),
 // which is what makes recompute_slices / reshape_slices exact.
+//
+// Window layout: the per-slice rows live in a buffer of `capacity` >= |T|
+// rows addressed through an origin (window slice t = stored row
+// origin + t).  An offline cube has capacity |T| and origin 0; a sliding
+// session's cube carries window_slack(|T|) spare rows (core/interval.hpp),
+// so a slide moves the origin and the appended columns land in free rows —
+// no allocation, no copy of a surviving column.  Every accessor works on
+// the contiguous window rows, so no kernel pays a per-element index
+// translation.
 #pragma once
 
 #include <cstdint>
@@ -142,13 +151,18 @@ class DataCube {
   // session layer orders the calls).
   // -------------------------------------------------------------------------
 
-  /// Re-layouts the per-slice columns for a changed window: new column t
-  /// takes the bit-exact contents of old column t + src_shift (columns
-  /// falling outside the old window are zeroed and must be recomputed via
-  /// recompute_slices).  Handles slides (src_shift = dropped leading
-  /// slices), extensions and contractions (new_count != old count).
-  /// `new_count` must equal the (already updated) model's slice count.
-  void reshape_slices(std::int32_t new_count, std::int32_t src_shift);
+  /// Follows a window change into `layout` (the slice count, row capacity
+  /// and origin the aggregator chose for every derived structure; see
+  /// relocate_triangles in core/interval.hpp): new column t takes the
+  /// bit-exact contents of old column t + src_shift, and columns with no
+  /// old counterpart hold unspecified values until recompute_slices fills
+  /// them.  `layout.slices()` must equal the (already updated) model's
+  /// slice count.  At an unchanged capacity this is an origin move
+  /// (nothing copied) or an in-place compaction; a changed capacity
+  /// re-lays out into a fresh buffer.  Returns the number of (node, slice)
+  /// columns moved.
+  std::size_t reshape_slices(const TriangularIndex& layout,
+                             std::int32_t src_shift);
 
   /// Recomputes every per-slice column t >= first_dirty from the model:
   /// parallel leaf fill, then the same per-slice bottom-up child merge (in
@@ -165,15 +179,16 @@ class DataCube {
   /// STAGG_AUDIT in audit builds, callable directly by tests in any build.
   void audit() const;
 
-  /// Estimated bytes held by the cube.
+  /// Bytes held by the cube (spare rows included).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return data_.size() * sizeof(double);
   }
 
  private:
-  // Layout: per node, three PLANES {sum_d, sum_rho, sum_rho_log}, each an
-  // n_t_ x n_x_ row-major matrix (slice rows, states contiguous).  Plane
-  // stride = n_t_ * n_x_, node stride = 3 * n_t_ * n_x_.  States being
+  // Layout: per node, three PLANES {sum_d, sum_rho, sum_rho_log}, each a
+  // cap_ x n_x_ row-major matrix (slice rows, states contiguous) whose
+  // window rows are [origin_, origin_ + n_t_).  Plane stride =
+  // cap_ * n_x_, node stride = 3 * cap_ * n_x_.  States being
   // adjacent is what lets the column kernel and the bottom-up merge run
   // f64x4 loads across the |X| dimension (independent per-state chains)
   // without touching any chain's accumulation order.
@@ -182,11 +197,13 @@ class DataCube {
   static constexpr std::size_t kSumRhoLog = 2;
 
   [[nodiscard]] std::size_t plane_stride() const noexcept {
-    return static_cast<std::size_t>(n_t_) * static_cast<std::size_t>(n_x_);
+    return static_cast<std::size_t>(cap_) * static_cast<std::size_t>(n_x_);
   }
+  /// Window row 0 of one plane: window slice t is row t from here.
   [[nodiscard]] const double* plane(NodeId node, std::size_t p) const noexcept {
     return data_.data() +
-           (static_cast<std::size_t>(node) * 3 + p) * plane_stride();
+           (static_cast<std::size_t>(node) * 3 + p) * plane_stride() +
+           static_cast<std::size_t>(origin_) * static_cast<std::size_t>(n_x_);
   }
   [[nodiscard]] double* plane_mut(NodeId node, std::size_t p) noexcept {
     return const_cast<double*>(plane(node, p));
@@ -201,6 +218,8 @@ class DataCube {
   const ShardPlan* plan_ = nullptr;
   std::int32_t n_t_ = 0;
   std::int32_t n_x_ = 0;
+  std::int32_t cap_ = 0;     ///< stored slice rows per plane
+  std::int32_t origin_ = 0;  ///< stored row of window slice 0
   /// 64-byte aligned so f64x4 plane accesses never split a cache line.
   simd::AlignedVec<double> data_;
 };

@@ -7,7 +7,6 @@
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "core/triangular_relocate.hpp"
 #include "hierarchy/shard_plan.hpp"
 
 namespace stagg {
@@ -16,7 +15,8 @@ namespace {
 
 // Scatters one computed triangle column into the row-major packed layout.
 // The column buffer holds cells (0..j, j); cell (i, j) lands at
-// tri(i, j) = row_offset(i) + (j - i).
+// tri(i, j) = row_offset(i) + (j - i) — origin-addressed rows keep this a
+// plain offset walk, with no per-cell index wrap.
 inline void scatter_column(AreaMeasures* node_cells, const TriangularIndex& tri,
                            SliceId j, std::span<const AreaMeasures> col) {
   for (SliceId i = 0; i <= j; ++i) {
@@ -79,27 +79,37 @@ void MeasureCache::fill_columns(const DataCube& cube, SliceId first_dirty,
 
 void MeasureCache::build(const DataCube& cube, bool parallel,
                          const ShardPlan* plan) {
+  build(cube, TriangularIndex(cube.slice_count()), parallel, plan);
+}
+
+void MeasureCache::build(const DataCube& cube, const TriangularIndex& layout,
+                         bool parallel, const ShardPlan* plan) {
+  if (layout.slices() != cube.slice_count()) {
+    throw InvalidArgument(
+        "MeasureCache::build: layout spans a different slice count");
+  }
   const std::size_t node_count = cube.hierarchy().node_count();
-  tri_ = TriangularIndex(cube.slice_count());
+  tri_ = layout;
   data_.resize(node_count * tri_.size());
   fill_columns(cube, 0, parallel, plan);
   STAGG_AUDIT(audit(cube));
 }
 
-void MeasureCache::reshape(std::int32_t new_slices, std::int32_t src_shift) {
-  if (!built()) return;
-  if (new_slices < 1 || src_shift < 0) {
+std::size_t MeasureCache::reshape(const TriangularIndex& layout,
+                                  std::int32_t src_shift) {
+  if (layout.slices() < 1 || src_shift < 0) {
     throw InvalidArgument("MeasureCache::reshape: invalid window delta");
   }
   // New cell (i, j) is old cell (i + k, j + k): with the translation-
-  // invariant measure convention the values are bit-identical, so the
-  // whole cache relocates in place (see triangular_relocate.hpp).  Cells
+  // invariant measure convention the values are bit-identical.  Cells
   // without an old counterpart hold unspecified values — the caller must
   // update() with first_dirty covering exactly those cells.
-  const TriangularIndex new_tri(new_slices);
-  reshape_packed_triangles(data_, tri_, new_tri, src_shift, /*lanes=*/1,
-                           data_.size() / tri_.size());
-  tri_ = new_tri;
+  const std::size_t moved =
+      built() ? relocate_triangles(data_, tri_, layout, src_shift,
+                                   /*lanes=*/1, data_.size() / tri_.size())
+              : 0;
+  tri_ = layout;
+  return moved;
 }
 
 void MeasureCache::update(const DataCube& cube, SliceId first_dirty,
@@ -135,11 +145,11 @@ void MeasureCache::audit(const DataCube& cube) const {
   // makes it bit-identical to the vectorized bulk fill the build uses, so
   // this doubles as a cross-check of the f64x4 column kernel on every
   // audited build.  Small triangles are rechecked in full; larger ones at
-  // the first, middle and last columns per node (reshape relocation bugs
+  // the first, middle and last columns per node (origin and compaction bugs
   // corrupt whole columns, not single cells).
   const SliceId slices = tri_.slices();
   std::vector<SliceId> cols;
-  if (tri_.size() <= 4096) {
+  if (tri_.window_cells() <= 4096) {
     for (SliceId j = 0; j < slices; ++j) cols.push_back(j);
   } else {
     cols = {0, static_cast<SliceId>(slices / 2),

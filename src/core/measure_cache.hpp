@@ -18,15 +18,19 @@
 // bit-identical (the equivalence suite asserts this).
 //
 // Incremental maintenance: because cell values are translation-invariant
-// (see cube.hpp), a window change decomposes into reshape() — a pure
-// relocation mapping new cell (i, j) to old cell (i + k, j + k) — plus
-// update(first_dirty), which recomputes only the triangle columns whose
-// interval intersects the changed time suffix.  Recomputation is
-// column-anchored (one descending accumulation per column), so its cost is
-// proportional to the number of dirty cells, not to |T|².
+// (see cube.hpp), a window change decomposes into reshape() — new cell
+// (i, j) takes old cell (i + k, j + k) — plus update(first_dirty), which
+// recomputes only the triangle columns whose interval intersects the
+// changed time suffix.  A sliding session's cache is origin-addressed over
+// C = |T| + window_slack(|T|) columns (core/interval.hpp): a slide only
+// moves the origin (no cell is touched), one in-place compaction runs when
+// the origin reaches the end of the capacity, and only a changed |T|
+// re-lays the cells out.  Recomputation is column-anchored (one descending
+// accumulation per column), so update() costs the dirty cells, not |T|².
 //
-// Footprint: 2 doubles per cell = |S|·|T|(|T|+1)/2 · 16 bytes, folded into
-// SpatiotemporalAggregator's memory-budget accounting.
+// Footprint: 2 doubles per storage cell = |S|·C(C+1)/2 · 16 bytes (C = |T|
+// offline), folded into SpatiotemporalAggregator's memory-budget
+// accounting.
 //
 // Layout contract (what the lane-batched DP kernel relies on): cells are
 // node-major packed triangular rows, each cell one contiguous {gain, loss}
@@ -67,18 +71,25 @@ class MeasureCache {
   /// ignored.
   void build(const DataCube& cube, bool parallel = true,
              const ShardPlan* plan = nullptr);
+  /// build() into an explicit triangle layout (capacity and origin) over
+  /// the cube's slice count.
+  void build(const DataCube& cube, const TriangularIndex& layout,
+             bool parallel, const ShardPlan* plan);
 
-  /// Relocates the triangle for a changed window: new cell (i, j) takes the
-  /// bit-exact value of old cell (i + src_shift, j + src_shift); cells with
-  /// no old counterpart (appended columns) are left uninitialized and MUST
-  /// be covered by the following update(first_dirty).  No-op when not
-  /// built.
-  void reshape(std::int32_t new_slices, std::int32_t src_shift);
+  /// Moves the triangle to `layout` for a changed window: new cell (i, j)
+  /// takes the bit-exact value of old cell (i + src_shift, j + src_shift);
+  /// cells with no old counterpart (appended columns) hold unspecified
+  /// values and MUST be covered by the following update(first_dirty).
+  /// Cost per relocate_triangles (core/interval.hpp): nothing for an
+  /// origin move, one in-place pass for a compaction, a fresh buffer for a
+  /// changed |T|.  Returns the number of (node, cell) positions moved; 0
+  /// when not built (only the layout is recorded).
+  std::size_t reshape(const TriangularIndex& layout, std::int32_t src_shift);
 
   /// Recomputes every triangle column j >= first_dirty from the (already
   /// updated) cube — the cells whose interval intersects a changed time
-  /// suffix.  Requires reshape() to the cube's slice count first; no-op
-  /// when not built.
+  /// suffix, O(|S|·(dirty cells)·|X|).  Requires reshape() to the cube's
+  /// slice count first; no-op when not built.
   void update(const DataCube& cube, SliceId first_dirty, bool parallel = true,
               const ShardPlan* plan = nullptr);
 
@@ -89,7 +100,7 @@ class MeasureCache {
   /// with the cube's slice count, the storage size disagrees with the
   /// node count, or a cached column is not bit-identical to the cube's
   /// recomputation (full recheck for small triangles; first/middle/last
-  /// columns per node otherwise — reshape relocation bugs corrupt whole
+  /// columns per node otherwise — origin and compaction bugs corrupt whole
   /// columns, not single cells).  No-op when not built.  Called at stage
   /// boundaries by STAGG_AUDIT in audit builds; callable directly by tests
   /// in any build.
@@ -103,8 +114,8 @@ class MeasureCache {
 
   [[nodiscard]] const TriangularIndex& tri() const noexcept { return tri_; }
 
-  /// Packed triangular (gain, loss) matrix of one node; cell order is
-  /// TriangularIndex (rows of fixed i, j ascending).
+  /// Packed triangular (gain, loss) storage of one node, tri().size()
+  /// cells; window cell (i, j) is at tri()(i, j).
   [[nodiscard]] const AreaMeasures* node_data(NodeId node) const noexcept {
     return data_.data() + static_cast<std::size_t>(node) * tri_.size();
   }
@@ -129,10 +140,13 @@ class MeasureCache {
     return node_data(node)[tri_(i, j)];
   }
 
-  /// Bytes the cache for `node_count` nodes over `slices` slices occupies.
+  /// Bytes the cache for `node_count` nodes occupies in a triangle over
+  /// `capacity` columns (the slice count offline, |T| + window_slack(|T|)
+  /// for a sliding session).
   [[nodiscard]] static std::size_t estimate_bytes(std::size_t node_count,
-                                                  std::int32_t slices) {
-    return node_count * TriangularIndex(slices).size() * sizeof(AreaMeasures);
+                                                  std::int32_t capacity) {
+    return node_count * TriangularIndex(capacity).size() *
+           sizeof(AreaMeasures);
   }
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
@@ -146,7 +160,7 @@ class MeasureCache {
                     const ShardPlan* plan);
 
   TriangularIndex tri_;
-  /// Node-major packed triangular rows; 64-byte aligned so the DP's
+  /// Node-major packed triangles; 64-byte aligned so the DP's
   /// 16-byte {gain, loss} loads and the f64x4 column writes never split a
   /// cache line.
   simd::AlignedVec<AreaMeasures> data_;

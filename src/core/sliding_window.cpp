@@ -153,7 +153,8 @@ void SlidingWindowSession::sync_store(const TimeGrid& grid, bool evict) {
   store_->seal_chunk();
 }
 
-TraceView SlidingWindowSession::make_view(TimeNs begin, TimeNs end) const {
+TraceView SlidingWindowSession::make_view(TimeNs begin, TimeNs end) {
+  ++views_built_;
   return TraceView(store_, begin, end, scope_, scope_paths_);
 }
 
@@ -230,19 +231,18 @@ const std::vector<AggregationResult>& SlidingWindowSession::advance_to(
   // 3. Unlink chunks that can never overlap the window again and seal
   // staged events into chunks (exclusive sessions; a SessionManager does
   // both centrally for shared stores), then re-fold the dirty suffix
-  // through a fresh window view.
+  // through a fresh window view — none when nothing is dirty.
   sync_store(new_grid, /*evict=*/true);
   // The view needs only the chunks that can touch the dirty suffix:
   // selecting from the first dirty slice (not the window begin) lets the
   // chunk fences prune everything wholly behind it — intervals ending
   // before the suffix fold to nothing anyway, and for compressed chunks
   // fence pruning is what skips the stream-decode of cold blocks.
-  const SliceId dirty_clamped = std::min(first_dirty, new_t);
-  const TimeNs dirty_begin_ns = dirty_clamped >= new_t
-                                    ? new_grid.end()
-                                    : new_grid.slice_begin(dirty_clamped);
-  refold_suffix(model_, make_view(dirty_begin_ns, new_grid.end()), leaf_of_,
-                first_dirty);
+  if (first_dirty < new_t) {
+    refold_suffix(model_,
+                  make_view(new_grid.slice_begin(first_dirty), new_grid.end()),
+                  leaf_of_, first_dirty);
+  }
 
   // 4. Splice every derived structure and re-run the DP over the dirty
   // columns only.

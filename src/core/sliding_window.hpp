@@ -6,15 +6,21 @@
 // one by exploiting the *dirty-column invariant*:
 //
 //   Every derived cell — a cube per-slice column, a cached (gain, loss)
-//   triangle cell (i, j), a DP cell pIC/cut/count(i, j) — is a pure
-//   function of the per-slice trace data inside its interval [i, j]
+//   triangle cell (i, j), a DP cell pIC/count(i, j) — is a pure function
+//   of the per-slice trace data inside its interval [i, j]
 //   (translation-invariant accumulation, see cube.hpp).  When only a time
 //   suffix of the window changes, every cell whose column j precedes the
 //   first dirty slice is therefore *bit-identical* to its previous value
-//   and is spliced from the retained state; only cells with j >= the first
+//   and is kept from the retained state; only cells with j >= the first
 //   dirty column are recomputed.  When the window slides by k slices, cell
-//   (i, j) of the new window equals cell (i+k, j+k) of the old one and is
-//   remapped by a pure relocation instead of recomputed.
+//   (i, j) of the new window equals cell (i+k, j+k) of the old one: the
+//   cube, the measure cache and the retained DP triangles are addressed
+//   through a window origin over |T| + ceil(|T|/8) columns, so a slide
+//   moves the origin and touches no surviving cell — one in-place
+//   compaction runs when the origin reaches the end of the capacity (see
+//   SpatiotemporalAggregator's incremental contract).  An advance with
+//   nothing dirty and no window move (a clean refresh) builds no view and
+//   runs no DP: it returns the retained results.
 //
 // The session reads an immutable chunked ShardedTraceStore through
 // zero-copy TraceViews (chunk-fence pruning selects the window, a merge
@@ -120,16 +126,19 @@ class SlidingWindowSession {
   void note_external_ingest(TimeNs earliest_begin) noexcept;
 
   /// Slides the window forward by `slices` (fixed |T|): the leading
-  /// `slices` columns are dropped, the surviving ones remapped by column
-  /// shift, and only the appended suffix recomputed.
+  /// `slices` columns are dropped (the window origin advances), and only
+  /// the appended suffix is recomputed.
   const std::vector<AggregationResult>& slide(std::int32_t slices);
-  /// Grows the window by `slices` new trailing slices (|T| increases).
+  /// Grows the window by `slices` new trailing slices (|T| increases; the
+  /// derived structures re-lay out into the new |T|'s layout).
   const std::vector<AggregationResult>& extend(std::int32_t slices);
   /// Shrinks the window by `slices` trailing slices (|T| decreases).  A
-  /// pure truncation: no cell is recomputed unless staged events dirtied
-  /// the surviving suffix.
+  /// pure truncation: the derived structures re-lay out, and no cell is
+  /// recomputed unless staged events dirtied the surviving suffix.
   const std::vector<AggregationResult>& contract(std::int32_t slices);
-  /// Re-aggregates the current window with the staged events folded in.
+  /// Re-aggregates the current window with the staged events folded in;
+  /// with nothing staged it builds no view and returns the retained
+  /// results.
   const std::vector<AggregationResult>& refresh();
 
   /// Results of the latest advance, one per probe parameter, in order.
@@ -173,6 +182,13 @@ class SlidingWindowSession {
   /// and instrumentation of the dirty-column invariant.
   [[nodiscard]] SliceId pending_dirty_slice() const noexcept;
 
+  /// Number of TraceViews this session built to fold the store (one at
+  /// attach, one per advance with a dirty column) — instrumentation of the
+  /// clean-refresh path.
+  [[nodiscard]] std::uint64_t views_built() const noexcept {
+    return views_built_;
+  }
+
   /// From-scratch oracle: builds a fresh model over the current window
   /// from a sealed snapshot of the store (same scope) and runs
   /// run_many(ps) on a fresh aggregator with the given kernel.  The
@@ -193,7 +209,7 @@ class SlidingWindowSession {
   /// its staged events (evicting behind the window first when
   /// `evict`); a shared one checks that its owner sealed them.
   void sync_store(const TimeGrid& grid, bool evict);
-  [[nodiscard]] TraceView make_view(TimeNs begin, TimeNs end) const;
+  [[nodiscard]] TraceView make_view(TimeNs begin, TimeNs end);
   [[nodiscard]] std::vector<LeafId> map_leaves() const;
 
   const Hierarchy* hierarchy_;
@@ -207,6 +223,9 @@ class SlidingWindowSession {
   /// Their paths in scope order, computed once and shared with every view
   /// this session builds (one per advance); null for full views.
   std::shared_ptr<const std::vector<std::string>> scope_paths_;
+  /// See views_built(); declared before model_, whose initializer builds
+  /// the attach view.
+  std::uint64_t views_built_ = 0;
   Trace facade_;
   MicroscopicModel model_;
   /// View resource -> hierarchy leaf, resolved once at attach: the

@@ -377,26 +377,31 @@ TEST(SlidingWindow, WorkingSetAccountingTracksPostAdvanceWindow) {
   const SpatiotemporalAggregator& agg = session.aggregator();
   const std::size_t nodes = h.node_count();
 
+  // Sliding layout: every triangle spans |T| + window_slack(|T|) columns.
+  const auto capacity = [](std::int32_t slices) {
+    return slices + window_slack(slices);
+  };
   const auto retained_bytes = [&](std::int32_t slices) {
-    // One 3-lane wave: pIC (8) + count (4) + cut (4) bytes per cell/lane.
-    return nodes * TriangularIndex(slices).size() * ps.size() *
-           (sizeof(double) + 2 * sizeof(std::int32_t));
+    // One 3-lane wave: pIC (8) + count (4) bytes per cell per lane over
+    // the capacity triangle; no cut is retained.
+    return nodes * TriangularIndex(capacity(slices)).size() * ps.size() *
+           (sizeof(double) + sizeof(std::int32_t));
   };
   const std::size_t ws30 = agg.working_set_bytes(3);
   EXPECT_EQ(agg.incremental_state_bytes(), retained_bytes(30));
   EXPECT_EQ(agg.measure_cache().memory_bytes(),
-            MeasureCache::estimate_bytes(nodes, 30));
+            MeasureCache::estimate_bytes(nodes, capacity(30)));
 
   session.extend(10);  // |T| = 40
   EXPECT_EQ(agg.incremental_state_bytes(), retained_bytes(40));
   EXPECT_EQ(agg.measure_cache().memory_bytes(),
-            MeasureCache::estimate_bytes(nodes, 40));
+            MeasureCache::estimate_bytes(nodes, capacity(40)));
   EXPECT_GT(agg.working_set_bytes(3), ws30);
 
   session.contract(15);  // |T| = 25: shrink must release cell spans
   EXPECT_EQ(agg.incremental_state_bytes(), retained_bytes(25));
   EXPECT_EQ(agg.measure_cache().memory_bytes(),
-            MeasureCache::estimate_bytes(nodes, 25));
+            MeasureCache::estimate_bytes(nodes, capacity(25)));
   EXPECT_LT(agg.working_set_bytes(3), ws30);
 
   // The estimate must agree with a fresh aggregator of the same shape at
@@ -432,6 +437,173 @@ TEST(SlidingWindow, ShrinkGrowShrinkCyclesStayExact) {
                          session.run_from_scratch(DpKernel::kCachedSolo),
                          "cycle delta=" + std::to_string(delta));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+}
+
+TEST(SlidingWindow, IncrementalBudgetChargesTheAllocatedState) {
+  // The run_incremental budget check charges exactly what the session
+  // then holds: the sliding working set plus the retained state (a 2-lane
+  // and a 1-lane wave here).  One byte less must throw.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const TimeGrid window(0, seconds(30.0), 30);
+  const std::vector<double> ps = {0.1, 0.5, 0.9};
+  SlidingWindowOptions opt;
+  opt.aggregation.max_lanes = 2;
+  const SlidingWindowSession probe(h, make_synthetic_trace(h, 40.0, 5),
+                                   window, ps, opt);
+  const std::size_t need = probe.aggregator().working_set_bytes(2) +
+                           probe.aggregator().incremental_state_bytes();
+  opt.aggregation.memory_budget_bytes = need - 1;
+  EXPECT_THROW(SlidingWindowSession(h, make_synthetic_trace(h, 40.0, 5),
+                                    window, ps, opt),
+               BudgetError);
+  opt.aggregation.memory_budget_bytes = need;
+  const SlidingWindowSession exact(h, make_synthetic_trace(h, 40.0, 5),
+                                   window, ps, opt);
+  expect_results_equal(exact.results(), probe.results(), "exact-budget");
+}
+
+TEST(SlidingWindow, CleanRefreshesBuildNoViewAndStayExact) {
+  // A refresh with nothing staged and no window move folds nothing: it
+  // builds no TraceView, moves no cell, and returns the retained results
+  // — which must still be the from-scratch reference results.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const Trace full = [&] {
+    Trace t = make_synthetic_trace(h, 60.0, 77);
+    t.seal();
+    return t;
+  }();
+  Trace initial;
+  Trace source = full;
+  EventStream stream = EventStream::from_trace(source, seconds(24.0), initial);
+  SlidingWindowSession session(h, std::move(initial),
+                               TimeGrid(0, seconds(24.0), 24),
+                               {0.2, 0.5, 0.8});
+  EXPECT_EQ(session.views_built(), 1u);  // the attach fold
+  stream.deliver_until(session, seconds(26.0));
+  session.slide(2);
+  EXPECT_EQ(session.views_built(), 2u);
+  const std::size_t moved = session.aggregator().relocated_cells();
+  for (int k = 0; k < 6; ++k) {
+    session.refresh();
+    expect_results_equal(session.results(),
+                         session.run_from_scratch(DpKernel::kReference),
+                         "clean refresh " + std::to_string(k));
+  }
+  EXPECT_EQ(session.views_built(), 2u);
+  EXPECT_EQ(session.aggregator().relocated_cells(), moved);
+  // A staged event dirties its column: the next refresh folds again.
+  session.append(0, StateId{0}, seconds(25.5), seconds(25.75));
+  session.refresh();
+  EXPECT_EQ(session.views_built(), 3u);
+  expect_results_equal(session.results(),
+                       session.run_from_scratch(DpKernel::kReference),
+                       "dirty refresh");
+}
+
+TEST(SlidingWindow, SlidesMoveNoCellBetweenCompactions) {
+  // Count gate of the origin-addressed layout: |T| = 48 has
+  // s = window_slack(48) = 6 spare columns, so one-column slides move the
+  // window origin through 0..s without touching a cell, and every
+  // (s + 1)-th slide runs one in-place compaction that moves exactly the
+  // surviving window — the cache triangle, each retained pIC and count
+  // triangle (one wave here) and the cube's slice columns.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const Trace full = [&] {
+    Trace t = make_synthetic_trace(h, 260.0, 4242);
+    t.seal();
+    return t;
+  }();
+  Trace initial;
+  Trace source = full;
+  EventStream stream = EventStream::from_trace(source, seconds(48.0), initial);
+  SlidingWindowOptions opt;
+  opt.aggregation.max_lanes = 4;
+  SlidingWindowSession session(h, std::move(initial),
+                               TimeGrid(0, seconds(48.0), 48),
+                               {0.2, 0.5, 0.8}, opt);
+  constexpr std::int32_t kT = 48;
+  const std::int32_t slack = window_slack(kT);
+  ASSERT_EQ(slack, 6);
+  const std::size_t nodes = h.node_count();
+  const std::size_t survivors = TriangularIndex(kT - 1).size();
+  const std::size_t per_compaction =
+      nodes * (survivors * (1 + 2) + static_cast<std::size_t>(kT - 1));
+  std::vector<int> compactions;
+  for (int slide = 1; slide <= 200; ++slide) {
+    stream.deliver_until(session, session.window().end() + seconds(1.0));
+    const std::size_t before = session.aggregator().relocated_cells();
+    session.slide(1);
+    const std::size_t moved = session.aggregator().relocated_cells() - before;
+    if (moved != 0) {
+      compactions.push_back(slide);
+      EXPECT_EQ(moved, per_compaction) << "slide " << slide;
+    }
+    expect_results_equal(session.results(),
+                         session.run_from_scratch(DpKernel::kReference),
+                         "slide " + std::to_string(slide));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  std::vector<int> expected;
+  for (int slide = slack + 1; slide <= 200; slide += slack + 1) {
+    expected.push_back(slide);
+  }
+  EXPECT_EQ(compactions, expected);
+}
+
+TEST(SlidingWindowProperty, CompactionsAndRelayoutsExactAtEveryLaneWidth) {
+  // Slides of 1-3 columns (crossing compactions), interleaved extend and
+  // contract (re-layouts) and clean refreshes, at lane widths 1-8 and on
+  // the kCachedSolo kernel: bit-identical to kReference at every step.
+  const Hierarchy h = make_balanced_hierarchy(2, 3);
+  const Trace full = [&] {
+    Trace t = make_synthetic_trace(h, 200.0, 8128);
+    t.seal();
+    return t;
+  }();
+  const std::vector<double> ps = {0.0, 0.15, 0.3, 0.45, 0.45, 0.6, 0.8, 1.0};
+  for (std::size_t config = 1; config <= kMaxDpLanes + 1; ++config) {
+    SlidingWindowOptions opt;
+    opt.aggregation.max_lanes = std::min(config, kMaxDpLanes);
+    if (config > kMaxDpLanes) opt.aggregation.kernel = DpKernel::kCachedSolo;
+    Trace initial;
+    Trace source = full;
+    EventStream stream =
+        EventStream::from_trace(source, seconds(24.0), initial);
+    SlidingWindowSession session(h, std::move(initial),
+                                 TimeGrid(0, seconds(24.0), 24), ps, opt);
+    Rng rng(31, config);
+    for (int op = 0; op < 30; ++op) {
+      const auto t = session.window().slice_count();
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      TimeGrid next = session.window();
+      if (kind <= 5) {
+        next = next.advanced(static_cast<std::int32_t>(rng.uniform_int(1, 3)));
+      } else if (kind == 6 && t < 32) {
+        next = next.extended(static_cast<std::int32_t>(rng.uniform_int(1, 4)));
+      } else if (kind == 7 && t > 16) {
+        next = next.contracted(
+            static_cast<std::int32_t>(rng.uniform_int(1, 4)));
+      }
+      stream.deliver_until(session, next.end());
+      const TimeNs dt = session.window().uniform_dt_ns();
+      const auto shift = static_cast<std::int32_t>(
+          (next.begin() - session.window().begin()) / dt);
+      if (shift > 0) {
+        session.slide(shift);
+      } else if (next.slice_count() > t) {
+        session.extend(next.slice_count() - t);
+      } else if (next.slice_count() < t) {
+        session.contract(t - next.slice_count());
+      } else {
+        session.refresh();
+      }
+      expect_results_equal(session.results(),
+                           session.run_from_scratch(DpKernel::kReference),
+                           "config " + std::to_string(config) + " op " +
+                               std::to_string(op));
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
   }
 }
 
