@@ -17,12 +17,17 @@
 // lanes/columns and never reorder an accumulation chain, so SIMD-on and
 // SIMD-off must produce byte-equal results (the tests/test_simd.cpp
 // contract, re-checked here at bench scale).  Acceptance bar: dp_fold and
-// cache_build >= 1.5x — active only when the build actually compiled a
-// vector level (simd::kEnabled); a scalar-forced build (STAGG_SIMD=OFF)
-// reports the ratios (~1.0x) with the bar waived, like BENCH_shard's
-// thread-count waiver.  --smoke emits BENCH_simd.json for CI.
+// cache_build >= 1.5x, judged on the median paired ratio of interleaved
+// repeats (bench/paired_ratio.hpp; exit 3 when a spread still straddles
+// the bar at the repeat cap) — active only when the build actually
+// compiled a vector level (simd::kEnabled); a scalar-forced build
+// (STAGG_SIMD=OFF) reports the ratios (~1.0x) with the bar waived, like
+// BENCH_shard's thread-count waiver.  --smoke emits BENCH_simd.json for
+// CI.
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -34,6 +39,7 @@
 #include "core/aggregator.hpp"
 #include "hierarchy/hierarchy.hpp"
 #include "model/builder.hpp"
+#include "paired_ratio.hpp"
 #include "trace/codec_kernels.hpp"
 #include "workload/synthetic.hpp"
 
@@ -130,79 +136,105 @@ int run(int argc, const char* const* argv) {
 
   bool identical = true;
 
-  // ---- dp_fold: W = 4 lane wave, use_simd on vs off --------------------
+  // ---- dp_fold and cache_build: paired ratios --------------------------
+  // dp_fold: run_many at W = 4 with use_simd on vs off.  cache_build: the
+  // f64x4 column kernel vs its reference twin over every (node, column).
+  // Each repeat times both sides of both bars back to back (order
+  // alternating) and yields one paired speedup per bar; the bars are
+  // judged on the medians (bench/paired_ratio.hpp).
   const std::vector<double> ps = {0.1, 0.35, 0.6, 0.85};
-  double dp_simd_s = 0.0;
-  double dp_scalar_s = 0.0;
+  AggregationOptions simd_opt;
+  simd_opt.max_lanes = 4;
+  simd_opt.use_simd = true;
+  AggregationOptions scalar_opt = simd_opt;
+  scalar_opt.use_simd = false;
+  SpatiotemporalAggregator simd_agg(model, simd_opt);
+  SpatiotemporalAggregator scalar_agg(model, scalar_opt);
+  // The first runs pay the measure-cache builds.
+  std::vector<AggregationResult> r_simd = simd_agg.run_many(ps);
+  std::vector<AggregationResult> r_scalar = scalar_agg.run_many(ps);
   {
-    const auto time_dp = [&](bool use_simd,
-                             std::vector<AggregationResult>& out) {
-      AggregationOptions opt;
-      opt.max_lanes = 4;
-      opt.use_simd = use_simd;
-      SpatiotemporalAggregator agg(model, opt);
-      out = agg.run_many(ps);  // pays the measure-cache build once
-      return best_of(rounds, [&] { out = agg.run_many(ps); });
-    };
-    std::vector<AggregationResult> r_simd;
-    std::vector<AggregationResult> r_scalar;
-    dp_simd_s = time_dp(true, r_simd);
-    dp_scalar_s = time_dp(false, r_scalar);
-    identical = identical && results_equal(r_simd, r_scalar);
-
     // The scalar twin is itself pinned to the reference kernel by the
     // equivalence suite; re-check the whole chain here at bench scale.
     AggregationOptions ref_opt;
     ref_opt.kernel = DpKernel::kReference;
     SpatiotemporalAggregator ref_agg(model, ref_opt);
-    identical = identical && results_equal(ref_agg.run_many(ps), r_simd);
+    identical = identical && results_equal(r_simd, r_scalar) &&
+                results_equal(ref_agg.run_many(ps), r_simd);
   }
-  const double dp_speedup = dp_scalar_s / std::max(dp_simd_s, 1e-12);
-  std::printf("dp_fold      (W = 4): simd %8.2f ms, scalar %8.2f ms -> "
-              "%.2fx\n",
-              dp_simd_s * 1e3, dp_scalar_s * 1e3, dp_speedup);
 
-  // ---- cache_build: the f64x4 column kernel vs the reference twin ------
-  double cache_simd_s = 0.0;
-  double cache_scalar_s = 0.0;
-  {
-    const DataCube cube(model);
-    const std::size_t node_count = h.node_count();
-    std::vector<AreaMeasures> col(static_cast<std::size_t>(slices));
-    std::vector<AreaMeasures> ref_col(static_cast<std::size_t>(slices));
-    const auto sweep = [&](auto&& kernel, std::vector<AreaMeasures>& buf) {
-      for (std::size_t node = 0; node < node_count; ++node) {
-        for (SliceId j = 0; j < slices; ++j) {
-          kernel(static_cast<NodeId>(node), j,
-                 std::span<AreaMeasures>(buf.data(),
-                                         static_cast<std::size_t>(j) + 1));
+  const DataCube cube(model);
+  const std::size_t node_count = h.node_count();
+  std::vector<AreaMeasures> col(static_cast<std::size_t>(slices));
+  std::vector<AreaMeasures> ref_col(static_cast<std::size_t>(slices));
+  const auto sweep = [&](bool reference, std::vector<AreaMeasures>& buf) {
+    for (std::size_t node = 0; node < node_count; ++node) {
+      for (SliceId j = 0; j < slices; ++j) {
+        const std::span<AreaMeasures> out(buf.data(),
+                                          static_cast<std::size_t>(j) + 1);
+        if (reference) {
+          cube.measures_column_reference_into(static_cast<NodeId>(node), j,
+                                              out);
+        } else {
+          cube.measures_column_into(static_cast<NodeId>(node), j, out);
         }
       }
-    };
-    cache_simd_s = best_of(rounds, [&] {
-      sweep([&](NodeId n, SliceId j,
-                std::span<AreaMeasures> out) {
-        cube.measures_column_into(n, j, out);
-      }, col);
-    });
-    cache_scalar_s = best_of(rounds, [&] {
-      sweep([&](NodeId n, SliceId j,
-                std::span<AreaMeasures> out) {
-        cube.measures_column_reference_into(n, j, out);
-      }, ref_col);
-    });
-    // Bit-identity of the full last column per node (the sweeps above end
-    // on column |T|-1, so both buffers hold it).
-    for (std::size_t k = 0; k < col.size(); ++k) {
-      identical = identical && col[k].gain == ref_col[k].gain &&
-                  col[k].loss == ref_col[k].loss;
     }
+  };
+
+  // times[k]: per-repeat best-of times of dp simd/scalar, cache
+  // simd/scalar; the report shows their medians.
+  std::vector<std::vector<double>> times(4);
+  const RatioBar bar{speedup_bar, /*at_most=*/false};
+  const int min_repeats = 7;
+  const int max_repeats = bar_active ? 41 : min_repeats;
+  const PairedRatios paired = run_paired_ratios(
+      {bar, bar}, min_repeats, max_repeats,
+      [&](int repeat, std::vector<std::vector<double>>& ratios) {
+        const std::array<std::function<double()>, 4> sides = {
+            [&] {
+              return best_of(rounds, [&] { r_simd = simd_agg.run_many(ps); });
+            },
+            [&] {
+              return best_of(rounds,
+                             [&] { r_scalar = scalar_agg.run_many(ps); });
+            },
+            [&] { return best_of(rounds, [&] { sweep(false, col); }); },
+            [&] { return best_of(rounds, [&] { sweep(true, ref_col); }); }};
+        std::array<double, 4> t{};
+        for (std::size_t k = 0; k < sides.size(); ++k) {
+          // Alternate which side of each pair runs first.
+          const std::size_t i = repeat % 2 == 0 ? k : k ^ 1;
+          t[i] = sides[i]();
+          times[i].push_back(t[i]);
+        }
+        ratios[0].push_back(t[1] / std::max(t[0], 1e-12));
+        ratios[1].push_back(t[3] / std::max(t[2], 1e-12));
+      });
+  identical = identical && results_equal(r_simd, r_scalar);
+  // Bit-identity of the full last column per node (each sweep ends on
+  // column |T|-1, so both buffers hold it).
+  for (std::size_t k = 0; k < col.size(); ++k) {
+    identical = identical && col[k].gain == ref_col[k].gain &&
+                col[k].loss == ref_col[k].loss;
   }
-  const double cache_speedup = cache_scalar_s / std::max(cache_simd_s, 1e-12);
+  const double dp_simd_s = quantile(times[0], 0.5);
+  const double dp_scalar_s = quantile(times[1], 0.5);
+  const double cache_simd_s = quantile(times[2], 0.5);
+  const double cache_scalar_s = quantile(times[3], 0.5);
+  const RatioSpread& dp = paired.spreads[0];
+  const RatioSpread& cache = paired.spreads[1];
+  const double dp_speedup = dp.median;
+  const double cache_speedup = cache.median;
+  std::printf("dp_fold      (W = 4): simd %8.2f ms, scalar %8.2f ms -> "
+              "%.2fx [IQR %.2f-%.2f]\n",
+              dp_simd_s * 1e3, dp_scalar_s * 1e3, dp_speedup, dp.q1, dp.q3);
   std::printf("cache_build  (|X| = %d): simd %8.2f ms, scalar %8.2f ms -> "
-              "%.2fx\n",
+              "%.2fx [IQR %.2f-%.2f]\n",
               states, cache_simd_s * 1e3, cache_scalar_s * 1e3,
-              cache_speedup);
+              cache_speedup, cache.q1, cache.q3);
+  std::printf("(median paired ratios of %d repeats, best of %d each)\n",
+              paired.repeats, rounds);
 
   // ---- codec rows: pre-pass kernels vs codec::ref twins.  No bar: at
   // -O3 with -march=native the ref twins themselves auto-vectorize, so
@@ -277,13 +309,12 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  const bool meets_dp_bar = !bar_active || dp_speedup >= speedup_bar;
-  const bool meets_cache_bar = !bar_active || cache_speedup >= speedup_bar;
+  const bool meets_dp_bar = !bar_active || bar.passes(dp_speedup);
+  const bool meets_cache_bar = !bar_active || bar.passes(cache_speedup);
+  const bool conclusive = !bar_active || paired.conclusive;
   if (bar_active) {
     std::printf("\ndp_fold %.2fx, cache_build %.2fx  (bar >= %.1fx)  [%s]\n",
-                dp_speedup, cache_speedup,
-                speedup_bar,
-                meets_dp_bar && meets_cache_bar ? "ok" : "MISS");
+                dp_speedup, cache_speedup, speedup_bar, paired.verdict());
   } else {
     std::printf("\ndp_fold %.2fx, cache_build %.2fx  (bar >= %.1fx waived: "
                 "scalar-forced build)\n",
@@ -311,6 +342,15 @@ int run(int argc, const char* const* argv) {
     put("cache_build_simd_s", cache_simd_s, ",\n");
     put("cache_build_scalar_s", cache_scalar_s, ",\n");
     put("cache_build_speedup", cache_speedup, ",\n");
+    out << "  \"repeats\": " << paired.repeats << ",\n";
+    out << "  \"dp_fold_speedup_iqr\": [";
+    std::snprintf(buf, sizeof buf, "%.6g, %.6g", dp.q1, dp.q3);
+    out << buf << "],\n";
+    out << "  \"cache_build_speedup_iqr\": [";
+    std::snprintf(buf, sizeof buf, "%.6g, %.6g", cache.q1, cache.q3);
+    out << buf << "],\n";
+    out << "  \"speedup_verdict\": \""
+        << (bar_active ? paired.verdict() : "waived") << "\",\n";
     out << "  \"codec\": [\n";
     for (std::size_t k = 0; k < codec_rows.size(); ++k) {
       const CodecRow& row = codec_rows[k];
@@ -335,7 +375,16 @@ int run(int argc, const char* const* argv) {
     std::printf("summary written to %s\n", json_path.c_str());
   }
 
-  return identical && meets_dp_bar && meets_cache_bar ? 0 : 2;
+  if (!identical || (conclusive && !(meets_dp_bar && meets_cache_bar))) {
+    return 2;
+  }
+  if (!conclusive) {
+    std::printf("inconclusive: a speedup spread still straddles the %.1fx "
+                "bar after %d repeats\n",
+                speedup_bar, paired.repeats);
+    return 3;
+  }
+  return 0;
 }
 
 }  // namespace

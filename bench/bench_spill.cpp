@@ -22,10 +22,9 @@
 // The three legs run as one interleaved repeat (leg order reversed on
 // every other repeat), and each repeat yields one paired slowdown per
 // leg (its budgeted time over its own resident time).  The bar is judged
-// on the median paired ratio once the interquartile spread of the ratios
-// lies wholly on one side of the bar; repeats continue up to a cap while
-// it straddles the bar, and a spread still straddling at the cap exits 3
-// with an "inconclusive" verdict.  --smoke emits BENCH_spill.json (the
+// on the median paired ratio by bench/paired_ratio.hpp's repeat driver; a
+// spread still straddling the bar at the repeat cap exits 3 with an
+// "inconclusive" verdict.  --smoke emits BENCH_spill.json (the
 // medians and the spreads) for CI trend tracking; exit is 2 on any
 // violated bar or equivalence failure.
 #include <algorithm>
@@ -42,6 +41,7 @@
 #include "common/stopwatch.hpp"
 #include "core/session_manager.hpp"
 #include "hierarchy/hierarchy.hpp"
+#include "paired_ratio.hpp"
 #include "workload/stream_split.hpp"
 #include "workload/synthetic.hpp"
 
@@ -65,32 +65,6 @@ bool results_equal(const std::vector<AggregationResult>& a,
 struct Spec {
   TimeGrid window;
   std::vector<double> ps;
-};
-
-/// Linear-interpolated quantile q in [0, 1] of a non-empty sample.
-double quantile(std::vector<double> xs, double q) {
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
-}
-
-/// Paired slowdown ratios of one leg against the bar: median and
-/// interquartile spread; `conclusive` when the spread lies wholly on one
-/// side of the bar.
-struct RatioSpread {
-  double median = 0.0;
-  double q1 = 0.0;
-  double q3 = 0.0;
-
-  static RatioSpread of(const std::vector<double>& ratios) {
-    return {quantile(ratios, 0.5), quantile(ratios, 0.25),
-            quantile(ratios, 0.75)};
-  }
-  [[nodiscard]] bool conclusive(double bar) const noexcept {
-    return q3 <= bar || q1 > bar;
-  }
 };
 
 struct RunStats {
@@ -265,14 +239,10 @@ int run(int argc, const char* const* argv) {
 
   // Interleaved repeats: each yields one paired ratio per budgeted leg.
   // Every leg of every repeat is checked against the first run's results.
-  std::vector<double> slowdowns;
-  std::vector<double> compressed_slowdowns;
   bool equivalent = true;
   bool within_budget = true;
   RunStats resident;
   RunStats compressed;
-  RatioSpread spread;
-  RatioSpread compressed_spread;
   const auto same_results = [&](const RunStats& run) {
     for (int round = 0; round < rounds; ++round) {
       const auto r = static_cast<std::size_t>(round);
@@ -284,38 +254,35 @@ int run(int argc, const char* const* argv) {
     }
     return true;
   };
-  int repeats = 0;
-  while (repeats < max_repeats) {
-    RunStats budgeted;
-    const bool reversed = repeats % 2 == 1;
-    if (reversed) {
-      compressed = run_schedule(budget, ChunkCompression::kAuto);
-      budgeted = run_schedule(budget, ChunkCompression::kNone);
-      resident = run_schedule(0, ChunkCompression::kNone);
-    } else {
-      resident = run_schedule(0, ChunkCompression::kNone);
-      budgeted = run_schedule(budget, ChunkCompression::kNone);
-      compressed = run_schedule(budget, ChunkCompression::kAuto);
-    }
-    ++repeats;
-    equivalent = equivalent && same_results(resident) &&
-                 same_results(budgeted) && same_results(compressed);
-    within_budget = within_budget && budgeted.resident_chunk_peak <= budget &&
-                    compressed.resident_chunk_peak <= budget;
-    const double base = std::max(resident.advance_seconds, 1e-12);
-    slowdowns.push_back(budgeted.advance_seconds / base);
-    compressed_slowdowns.push_back(compressed.advance_seconds / base);
-    spread = RatioSpread::of(slowdowns);
-    compressed_spread = RatioSpread::of(compressed_slowdowns);
-    if (repeats >= min_repeats && spread.conclusive(slowdown_bar) &&
-        compressed_spread.conclusive(slowdown_bar)) {
-      break;
-    }
-  }
+  const RatioBar bar{slowdown_bar, /*at_most=*/true};
+  const PairedRatios paired = run_paired_ratios(
+      {bar, bar}, min_repeats, max_repeats,
+      [&](int repeat, std::vector<std::vector<double>>& ratios) {
+        RunStats budgeted;
+        if (repeat % 2 == 1) {
+          compressed = run_schedule(budget, ChunkCompression::kAuto);
+          budgeted = run_schedule(budget, ChunkCompression::kNone);
+          resident = run_schedule(0, ChunkCompression::kNone);
+        } else {
+          resident = run_schedule(0, ChunkCompression::kNone);
+          budgeted = run_schedule(budget, ChunkCompression::kNone);
+          compressed = run_schedule(budget, ChunkCompression::kAuto);
+        }
+        equivalent = equivalent && same_results(resident) &&
+                     same_results(budgeted) && same_results(compressed);
+        within_budget = within_budget &&
+                        budgeted.resident_chunk_peak <= budget &&
+                        compressed.resident_chunk_peak <= budget;
+        const double base = std::max(resident.advance_seconds, 1e-12);
+        ratios[0].push_back(budgeted.advance_seconds / base);
+        ratios[1].push_back(compressed.advance_seconds / base);
+      });
+  const RatioSpread& spread = paired.spreads[0];
+  const RatioSpread& compressed_spread = paired.spreads[1];
+  const int repeats = paired.repeats;
   std::remove(spill_path.c_str());
 
-  const bool conclusive = spread.conclusive(slowdown_bar) &&
-                          compressed_spread.conclusive(slowdown_bar);
+  const bool conclusive = paired.conclusive;
   const double trace_over_budget =
       static_cast<double>(first.resident_chunk_peak) /
       static_cast<double>(std::max<std::size_t>(1, budget));
@@ -325,14 +292,11 @@ int run(int argc, const char* const* argv) {
       total_advances / std::max(resident.advance_seconds, 1e-12);
   const double slowdown = spread.median;
   const double compressed_slowdown = compressed_spread.median;
-  const bool meets_throughput_bar =
-      slowdown <= slowdown_bar && compressed_slowdown <= slowdown_bar;
+  const bool meets_throughput_bar = paired.passes;
   const double compression_ratio =
       resident.bytes_per_interval() /
       std::max(compressed.bytes_per_interval(), 1e-12);
-  const char* verdict = !conclusive             ? "INCONCLUSIVE"
-                        : meets_throughput_bar ? "ok"
-                                               : "MISS";
+  const char* verdict = paired.verdict();
 
   std::printf("trace chunk bytes    : %.2f MiB (peak, all-resident) = %.2fx "
               "the budget\n",

@@ -12,10 +12,21 @@
 namespace stagg {
 SpatiotemporalAggregator::SpatiotemporalAggregator(
     const MicroscopicModel& model, AggregationOptions options)
+    : SpatiotemporalAggregator(model, options, model.slice_count()) {}
+
+SpatiotemporalAggregator SpatiotemporalAggregator::sliding_layout(
+    const MicroscopicModel& model, AggregationOptions options) {
+  const std::int32_t t = model.slice_count();
+  return {model, options, t + window_slack(t)};
+}
+
+SpatiotemporalAggregator::SpatiotemporalAggregator(
+    const MicroscopicModel& model, AggregationOptions options,
+    std::int32_t capacity)
     : model_(&model),
       options_(options),
-      cube_(model, options.shard_plan),
-      tri_(model.slice_count()) {
+      cube_(model, options.shard_plan, capacity),
+      tri_(model.slice_count(), capacity, 0) {
   options_.max_lanes = std::clamp<std::size_t>(options_.max_lanes, 1,
                                                kMaxDpLanes);
   const Hierarchy& h = model.hierarchy();

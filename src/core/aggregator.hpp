@@ -205,6 +205,13 @@ class SpatiotemporalAggregator {
   explicit SpatiotemporalAggregator(const MicroscopicModel& model,
                                     AggregationOptions options = {});
 
+  /// An aggregator built directly in the sliding layout (capacity
+  /// |T| + window_slack(|T|), origin 0) that run_incremental otherwise
+  /// switches to on its first call — for sliding sessions, whose cube is
+  /// then folded once and never re-laid out at attach.
+  [[nodiscard]] static SpatiotemporalAggregator sliding_layout(
+      const MicroscopicModel& model, AggregationOptions options = {});
+
   /// Runs Algorithm 1 for a given trade-off parameter p in [0, 1].
   /// Throws InvalidArgument on out-of-range p, BudgetError when the peak
   /// working set would exceed the memory budget.
@@ -286,9 +293,10 @@ class SpatiotemporalAggregator {
   // cache's dirty columns are recomputed.
   //
   // Layout: the first run_incremental switches the aggregator to the
-  // sliding layout — the cube, the measure cache and every retained
-  // triangle span C = |T| + window_slack(|T|) columns addressed through a
-  // shared window origin (core/interval.hpp).  A slide by k moves the
+  // sliding layout (sliding_layout() builds one there) — the cube, the
+  // measure cache and every retained triangle span
+  // C = |T| + window_slack(|T|) columns addressed through a shared window
+  // origin (core/interval.hpp).  A slide by k moves the
   // origin and touches no retained cell; when the origin would run past
   // the capacity, one in-place compaction moves the surviving cells back to
   // origin 0 (once every ceil((s + 1) / k) slides of k columns).  Only a
@@ -404,6 +412,10 @@ class SpatiotemporalAggregator {
     bool results_current = false;
     bool valid = false;
   };
+
+  SpatiotemporalAggregator(const MicroscopicModel& model,
+                           AggregationOptions options,
+                           std::int32_t capacity);
 
   /// True once run_incremental switched to the origin-addressed layout
   /// (capacity |T| + window_slack(|T|) > |T|).

@@ -13,11 +13,12 @@
 
 namespace stagg {
 
-DataCube::DataCube(const MicroscopicModel& model, const ShardPlan* plan)
+DataCube::DataCube(const MicroscopicModel& model, const ShardPlan* plan,
+                   std::int32_t capacity)
     : model_(&model),
       n_t_(model.slice_count()),
       n_x_(model.state_count()),
-      cap_(model.slice_count()) {
+      cap_(std::max(capacity, model.slice_count())) {
   const Hierarchy& h = model.hierarchy();
   // A plan partitions one specific hierarchy; a cube over any other (a
   // scoped session's sub-hierarchy) falls back to the serial merge —

@@ -58,8 +58,11 @@ class DataCube {
   /// operations and child order are unchanged, so the partitioned fold is
   /// bit-identical to the serial one at every shard count.  A plan built
   /// for a different hierarchy (a scoped session) is ignored.
+  /// `capacity` is the number of stored slice rows (origin 0); a value
+  /// below the model's slice count means exactly |T| (the offline layout).
   explicit DataCube(const MicroscopicModel& model,
-                    const ShardPlan* plan = nullptr);
+                    const ShardPlan* plan = nullptr,
+                    std::int32_t capacity = 0);
 
   [[nodiscard]] const MicroscopicModel& model() const noexcept {
     return *model_;

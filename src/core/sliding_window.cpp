@@ -133,7 +133,8 @@ SlidingWindowSession::SlidingWindowSession(
                            build);
       }()),
       leaf_of_(map_leaves()),
-      agg_(model_, options_.aggregation),
+      agg_(SpatiotemporalAggregator::sliding_layout(model_,
+                                                    options_.aggregation)),
       ps_(std::move(ps)) {
   results_ = agg_.run_incremental(ps_);
   dirty_from_ns_ = window.end();

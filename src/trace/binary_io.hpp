@@ -97,8 +97,9 @@ std::uint64_t write_binary_trace(Trace& trace, const std::string& path);
 /// them into exactly-sized per-resource columns in file order.  A
 /// resource is sorted by the total key only when it is not already
 /// (write_binary_trace emits sorted resources), then cut into chunks of at
-/// most `chunk_records` intervals; the one final seal compacts lanes with
-/// more than TraceStore::kCompactionThreshold chunks.  Heap peak: the
+/// most `chunk_records` intervals; the one final seal rewrites lanes with
+/// more than TraceStore::lane_chunk_bound() chunks into chunks of the
+/// lane's chunk cap.  Heap peak: the
 /// final columns plus O(P·R) count tables (R resources) and P read
 /// buffers.  A bad record fails with the streaming decoder's exact
 /// message, naming the first bad record of the file.  The interval

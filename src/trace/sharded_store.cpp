@@ -311,6 +311,12 @@ std::size_t ShardedTraceStore::store_bytes() const noexcept {
   return n;
 }
 
+std::uint64_t ShardedTraceStore::compaction_copies() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& shard : shards_) n += shard->compaction_copies();
+  return n;
+}
+
 std::size_t ShardedTraceStore::resident_chunk_bytes() const noexcept {
   std::size_t n = 0;
   for (const auto& shard : shards_) n += shard->resident_chunk_bytes();

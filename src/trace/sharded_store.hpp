@@ -175,6 +175,8 @@ class ShardedTraceStore {
   [[nodiscard]] std::size_t store_bytes() const noexcept;
   [[nodiscard]] std::size_t resident_chunk_bytes() const noexcept;
   [[nodiscard]] std::size_t spilled_chunk_bytes() const noexcept;
+  /// Intervals written by compaction, summed over the shards.
+  [[nodiscard]] std::uint64_t compaction_copies() const noexcept;
 
   /// Sealed copy sharing all chunks (the from-scratch oracle snapshot:
   /// copies each shard's store — chunk lists share payloads — and seals).

@@ -1,7 +1,9 @@
 #include "trace/trace_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <unordered_set>
@@ -240,18 +242,18 @@ void TraceStore::add_state(ResourceId resource, StateId state, TimeNs begin,
   ++generation_;
 }
 
-void TraceStore::maybe_compress_into(TraceChunkPtr chunk,
-                                     std::vector<TraceChunkPtr>& out,
-                                     std::size_t block_intervals) const {
+std::size_t TraceStore::maybe_compress_into(
+    TraceChunkPtr chunk, std::vector<TraceChunkPtr>& out) const {
   if (compression_ != ChunkCompression::kAuto || !chunk->resident() ||
       !chunk->addressable()) {
     out.push_back(std::move(chunk));
-    return;
+    return 1;
   }
   const std::span<const TimeNs> begins = chunk->begins();
   const std::span<const TimeNs> ends = chunk->ends();
   const std::span<const StateId> states = chunk->states();
   const std::size_t n = begins.size();
+  const std::size_t block_intervals = kCompressedBlockIntervals;
   const std::size_t blocks = (n + block_intervals - 1) / block_intervals;
   std::vector<TraceChunkPtr> pieces;
   pieces.reserve(blocks);
@@ -294,9 +296,10 @@ void TraceStore::maybe_compress_into(TraceChunkPtr chunk,
   // or block splits of an incompressible run).
   if (!any_encoded) {
     out.push_back(std::move(chunk));
-    return;
+    return 1;
   }
   for (TraceChunkPtr& piece : pieces) out.push_back(std::move(piece));
+  return pieces.size();
 }
 
 void TraceStore::set_compression(ChunkCompression policy) {
@@ -317,50 +320,135 @@ void TraceStore::set_compression(ChunkCompression policy) {
                      next[before].get() != original;
     }
     lane.chunks = std::move(next);
+    // Re-encoded blocks no longer follow the open suffix's size classes:
+    // close them; later seals open a fresh suffix behind them.
+    if (lane_changed) lane.open = 0;
     changed = changed || lane_changed;
   }
   if (changed) ++generation_;
   STAGG_AUDIT(audit());
 }
 
+namespace {
+
+/// Size class of a chunk of `n` >= 1 intervals: floor(log_F n), F = 4.
+std::size_t size_class(std::size_t n) noexcept {
+  static_assert(TraceStore::kMergeFanIn == 4);
+  return static_cast<std::size_t>(std::bit_width(n) - 1) / 2;
+}
+
+/// Columns a merge writes before they are cut into chunks.
+struct MergedColumns {
+  std::vector<TimeNs> begins;
+  std::vector<TimeNs> ends;
+  std::vector<StateId> states;
+
+  [[nodiscard]] std::size_t size() const noexcept { return begins.size(); }
+  void push(const StateInterval& s) {
+    begins.push_back(s.begin);
+    ends.push_back(s.end);
+    states.push_back(s.state);
+  }
+};
+
+/// Streams `members` (lane order) into `out` through the canonical merge,
+/// dropping intervals ending at or below `horizon` (when `drop`).  Members
+/// in key order (the live case) are concatenated; a run of addressable
+/// members with nothing to drop is copied column-wise.
+void gather(std::span<const TraceChunkPtr> members, bool drop,
+            TimeNs horizon, MergedColumns& out) {
+  std::size_t total = 0;
+  bool in_order = true;
+  bool bulk = true;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const TraceChunk& c = *members[i];
+    total += c.size();
+    in_order = in_order && (i == 0 || !interval_key_less(
+                                          c.first(), members[i - 1]->last()));
+    bulk = bulk && c.addressable() && (!drop || c.min_end() > horizon);
+  }
+  out.begins.reserve(total);
+  out.ends.reserve(total);
+  out.states.reserve(total);
+  if (in_order && bulk) {
+    for (const TraceChunkPtr& c : members) {
+      out.begins.insert(out.begins.end(), c->begins().begin(),
+                        c->begins().end());
+      out.ends.insert(out.ends.end(), c->ends().begin(), c->ends().end());
+      out.states.insert(out.states.end(), c->states().begin(),
+                        c->states().end());
+    }
+    return;
+  }
+  std::vector<ChunkRun> runs;
+  runs.reserve(members.size());
+  for (const TraceChunkPtr& c : members) runs.push_back({c.get(), c->size()});
+  merge_chunk_runs(std::span<const ChunkRun>(runs),
+                   [&](const StateInterval& s) {
+                     if (!drop || s.end > horizon) out.push(s);
+                   });
+}
+
+template <class T>
+std::vector<T> slice_of(std::vector<T>& v, std::size_t lo, std::size_t len,
+                        bool whole) {
+  if (whole) return std::move(v);
+  return std::vector<T>(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                        v.begin() + static_cast<std::ptrdiff_t>(lo + len));
+}
+
+}  // namespace
+
+std::size_t TraceStore::chunk_cap(std::size_t stored,
+                                  ChunkCompression policy) noexcept {
+  if (policy == ChunkCompression::kAuto) return kCompressedBlockIntervals;
+  return std::max(kMinRawCap, stored / kRawCapShare);
+}
+
+std::size_t TraceStore::lane_chunk_bound(std::size_t stored,
+                                         ChunkCompression policy) noexcept {
+  const std::size_t cap = chunk_cap(stored, policy);
+  return 2 * ((stored + cap - 1) / cap) +
+         (kMergeFanIn - 1) * (size_class(cap - 1) + 1);
+}
+
 void TraceStore::seal_chunk() {
   if (sealed_) return;
-  // Per-lane unlink lists: compaction runs inside the parallel region, so
-  // spill-record accounting is collected per lane and folded in serially.
-  std::vector<std::vector<std::shared_ptr<const ChunkPayload>>> unlinked(
-      lanes_.size());
+  // Only lanes with work are visited: a staged tail, or more chunks than
+  // the bound (adopted chunks).  Tasks group consecutive lanes until they
+  // hold about kSealTaskIntervals intervals of work, so a seal of a few
+  // intervals over many lanes is a few tasks, not one per lane.
+  std::vector<std::size_t> todo;
+  std::vector<std::size_t> task_end;
+  std::size_t pending = 0;
+  for (std::size_t r = 0; r < lanes_.size(); ++r) {
+    const Lane& lane = lanes_[r];
+    const bool over =
+        lane.chunks.size() > lane_chunk_bound(lane.stored, compression_);
+    if (lane.tail.empty() && !over) continue;
+    todo.push_back(r);
+    pending += lane.tail.size() + (over ? lane.stored : 0);
+    if (pending >= kSealTaskIntervals) {
+      task_end.push_back(todo.size());
+      pending = 0;
+    }
+  }
+  if (pending > 0) task_end.push_back(todo.size());
+  // Compaction runs inside the parallel region, so spill-record accounting
+  // and copy counts are collected per task and folded in serially.
+  std::vector<SealWork> work(task_end.size());
   parallel_for(
-      lanes_.size(),
-      [this, &unlinked](std::size_t r) {
-        Lane& lane = lanes_[r];
-        if (!lane.tail.empty()) {
-          // Horizon stickiness: an interval ending at or below the
-          // eviction horizon can never be read by a legal window (views
-          // reaching below the horizon are rejected), so sealing one —
-          // e.g. staged after an eviction already passed it — would only
-          // freeze dead weight.  Dropping it here is what keeps the
-          // "every linked chunk's fence clears the horizon" invariant
-          // exact (audit() checks it).
-          if (evict_horizon_ != std::numeric_limits<TimeNs>::min()) {
-            std::erase_if(lane.tail, [this](const StateInterval& s) {
-              return s.end <= evict_horizon_;
-            });
-          }
-        }
-        if (!lane.tail.empty()) {
-          std::sort(lane.tail.begin(), lane.tail.end(), interval_key_less);
-          maybe_compress_into(TraceChunk::from_sorted(lane.tail),
-                              lane.chunks);
-          lane.tail.clear();
-          lane.tail.shrink_to_fit();
-        }
-        if (lane.chunks.size() > kCompactionThreshold) {
-          compact_lane(lane, unlinked[r]);
+      task_end.size(),
+      [&](std::size_t t) {
+        for (std::size_t i = t == 0 ? 0 : task_end[t - 1]; i < task_end[t];
+             ++i) {
+          seal_lane(lanes_[todo[i]], work[t]);
         }
       },
       /*grain=*/1);
-  for (const auto& lane_unlinked : unlinked) {
-    for (const auto& payload : lane_unlinked) note_unlinked(payload.get());
+  for (const SealWork& w : work) {
+    for (const auto& payload : w.unlinked) note_unlinked(payload.get());
+    compaction_copies_ += w.copies;
   }
   derive_window();
   sealed_ = true;
@@ -369,69 +457,127 @@ void TraceStore::seal_chunk() {
   STAGG_AUDIT(audit());
 }
 
-void TraceStore::compact_lane(
-    Lane& lane,
-    std::vector<std::shared_ptr<const ChunkPayload>>& unlinked) {
-  // Size-tiered compaction: merge only as many of the *smallest* chunks
-  // as it takes to halve the list.  Large merged chunks are re-merged
-  // only once enough small ones accumulate past them, so streaming
-  // ingest costs O(n log n) element copies overall — never the
-  // re-merge-everything-every-16-seals quadratic blowup — and the
-  // transient merge buffer holds a fraction of the lane, not all of it.
-  const std::size_t target = kCompactionThreshold / 2;
-  const std::size_t merge_count = lane.chunks.size() - target + 1;
-  std::vector<std::size_t> order(lane.chunks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&lane](std::size_t a, std::size_t b) {
-                     return lane.chunks[a]->size() < lane.chunks[b]->size();
-                   });
-  std::vector<std::uint8_t> picked(lane.chunks.size(), 0);
-  for (std::size_t k = 0; k < merge_count; ++k) picked[order[k]] = 1;
-
-  // The merge streams members through cursors, so spilled or compressed
-  // members are read in place — no rehydration.  A merged-away member's
-  // spill record (if any) becomes dead; the caller accounts it.
-  std::vector<TraceChunkPtr> merge_set;
-  merge_set.reserve(merge_count);
-  std::size_t first_picked = lane.chunks.size();
-  for (std::size_t i = 0; i < lane.chunks.size(); ++i) {
-    if (picked[i] != 0) {
-      if (first_picked == lane.chunks.size()) first_picked = i;
-      merge_set.push_back(lane.chunks[i]);
-      unlinked.push_back(lane.chunks[i]->payload());
-    }
+void TraceStore::seal_lane(Lane& lane, SealWork& work) {
+  // Horizon stickiness: an interval ending at or below the eviction
+  // horizon can never be read by a legal window (views reaching below the
+  // horizon are rejected), so sealing one — e.g. staged after an eviction
+  // already passed it — would only freeze dead weight.  Dropping it here
+  // is what keeps the "every linked chunk's fence clears the horizon"
+  // invariant exact (audit() checks it).
+  if (evict_horizon_ != std::numeric_limits<TimeNs>::min()) {
+    std::erase_if(lane.tail, [this](const StateInterval& s) {
+      return s.end <= evict_horizon_;
+    });
   }
-  std::size_t total = 0;
-  for (const TraceChunkPtr& c : merge_set) total += c->size();
-  std::vector<StateInterval> merged;
-  merged.reserve(total);
-  merge_chunks(merge_set, merged);
-  // Compaction is also the one place individually dead intervals of
-  // straddling chunks are let go: anything ending at or before the
-  // eviction horizon can never be read by a legal window again.
-  std::erase_if(merged, [this](const StateInterval& s) {
-    return s.end <= evict_horizon_;
+  if (!lane.tail.empty()) {
+    std::sort(lane.tail.begin(), lane.tail.end(), interval_key_less);
+    const std::size_t cap =
+        chunk_cap(lane.stored + lane.tail.size(), compression_);
+    insert_run(lane, lane.tail, cap, work);
+    lane.tail.clear();
+    lane.tail.shrink_to_fit();
+  }
+  if (lane.chunks.size() > lane_chunk_bound(lane.stored, compression_)) {
+    lane.open = lane.chunks.size();
+    merge_suffix(lane, lane.open, chunk_cap(lane.stored, compression_), work);
+  }
+}
+
+void TraceStore::insert_run(Lane& lane, std::span<const StateInterval> run,
+                            std::size_t cap, SealWork& work) {
+  lane.stored += run.size();
+  if (lane.open == 0 && run.size() >= cap) {
+    // Nothing open to merge with: freeze the run straight into chunks.
+    append_cut(lane, run.size(), cap, [run](std::size_t lo, std::size_t len) {
+      return TraceChunk::from_sorted(run.subspan(lo, len));
+    });
+    return;
+  }
+  lane.chunks.push_back(TraceChunk::from_sorted(run));
+  ++lane.open;
+  // A cap's worth of open intervals closes: the whole open suffix merges
+  // into closed chunks of exactly `cap` and one open remainder, so the
+  // open suffix — small, poorly compressed chunks — stays below one cap.
+  std::size_t open_total = 0;
+  for (std::size_t k = 1; k <= lane.open; ++k) {
+    open_total += lane.chunks[lane.chunks.size() - k]->size();
+  }
+  if (open_total >= cap) {
+    merge_suffix(lane, lane.open, cap, work);
+    return;
+  }
+  // Absorb the newest open chunks of a smaller size class than the group,
+  // so the open suffix keeps non-increasing size classes.
+  std::size_t members = 1;
+  std::size_t total = lane.chunks.back()->size();
+  while (members < lane.open) {
+    const std::size_t prev =
+        lane.chunks[lane.chunks.size() - 1 - members]->size();
+    if (size_class(prev) >= size_class(total)) break;
+    total += prev;
+    ++members;
+  }
+  if (members > 1) {
+    merge_suffix(lane, members, cap, work);
+  } else {
+    TraceChunkPtr alone = std::move(lane.chunks.back());
+    lane.chunks.pop_back();
+    (void)maybe_compress_into(std::move(alone), lane.chunks);
+  }
+  // Cascade: F open chunks of one size class merge into the next class.
+  while (lane.open >= kMergeFanIn) {
+    const std::size_t n = lane.chunks.size();
+    const std::size_t cls = size_class(lane.chunks[n - 1]->size());
+    bool same = true;
+    for (std::size_t k = 2; k <= kMergeFanIn && same; ++k) {
+      same = size_class(lane.chunks[n - k]->size()) == cls;
+    }
+    if (!same) break;
+    merge_suffix(lane, kMergeFanIn, cap, work);
+  }
+}
+
+void TraceStore::merge_suffix(Lane& lane, std::size_t members,
+                              std::size_t cap, SealWork& work) {
+  const auto first =
+      lane.chunks.end() - static_cast<std::ptrdiff_t>(members);
+  // Members stream through cursors, so spilled or compressed members are
+  // read in place — no rehydration.  A merged-away member's spill record
+  // (if any) becomes dead; the caller accounts it.  Compaction is also the
+  // one place individually dead intervals of straddling chunks are let
+  // go: anything ending at or before the eviction horizon can never be
+  // read by a legal window again.
+  MergedColumns out;
+  gather(std::span<const TraceChunkPtr>(first, lane.chunks.end()),
+         evict_horizon_ != std::numeric_limits<TimeNs>::min(),
+         evict_horizon_, out);
+  for (auto it = first; it != lane.chunks.end(); ++it) {
+    work.unlinked.push_back((*it)->payload());
+    lane.stored -= (*it)->size();
+  }
+  lane.chunks.erase(first, lane.chunks.end());
+  lane.open -= members;
+  const std::size_t n = out.size();
+  work.copies += n;
+  lane.stored += n;
+  append_cut(lane, n, cap, [&out, n](std::size_t lo, std::size_t len) {
+    const bool whole = lo == 0 && len == n;
+    return std::make_shared<const TraceChunk>(
+        slice_of(out.begins, lo, len, whole),
+        slice_of(out.ends, lo, len, whole),
+        slice_of(out.states, lo, len, whole));
   });
+}
 
-  // Rebuild: survivors keep their order; the merged chunk takes the slot
-  // of its oldest member, preserving rough time order for the view
-  // cursors' concatenation fast path.
-  std::vector<TraceChunkPtr> next;
-  next.reserve(lane.chunks.size() - merge_count + 1);
-  for (std::size_t i = 0; i < lane.chunks.size(); ++i) {
-    if (i == first_picked && !merged.empty()) {
-      // Blocks capped at 8 per merge: fence granularity for the view,
-      // but few enough that replacing merge_count (> 8) chunks still
-      // shrinks the lane below the threshold — compaction keeps making
-      // progress instead of re-triggering on its own output every seal.
-      const std::size_t block = std::max(kCompressedBlockIntervals,
-                                         (merged.size() + 7) / 8);
-      maybe_compress_into(TraceChunk::from_sorted(merged), next, block);
-    }
-    if (picked[i] == 0) next.push_back(lane.chunks[i]);
+void TraceStore::append_cut(
+    Lane& lane, std::size_t n, std::size_t cap,
+    const std::function<TraceChunkPtr(std::size_t, std::size_t)>& piece) {
+  // Closed chunks of exactly `cap`, then the open remainder.
+  for (std::size_t lo = 0; lo < n; lo += cap) {
+    const std::size_t len = std::min(cap, n - lo);
+    const std::size_t added = maybe_compress_into(piece(lo, len), lane.chunks);
+    if (len < cap) lane.open += added;
   }
-  lane.chunks = std::move(next);
 }
 
 bool TraceStore::tails_sealed() const noexcept {
@@ -465,12 +611,20 @@ void TraceStore::derive_window() {
 void TraceStore::evict_before(TimeNs cutoff) {
   evict_horizon_ = std::max(evict_horizon_, cutoff);
   for (Lane& lane : lanes_) {
-    for (const TraceChunkPtr& c : lane.chunks) {
-      if (c->max_end() <= cutoff) note_unlinked(c->payload().get());
+    const std::size_t open_from = lane.chunks.size() - lane.open;
+    std::size_t kept = 0;
+    lane.open = 0;
+    for (std::size_t i = 0; i < lane.chunks.size(); ++i) {
+      TraceChunkPtr& c = lane.chunks[i];
+      if (c->max_end() <= cutoff) {
+        note_unlinked(c->payload().get());
+        lane.stored -= c->size();
+        continue;
+      }
+      if (i >= open_from) ++lane.open;
+      lane.chunks[kept++] = std::move(c);
     }
-    std::erase_if(lane.chunks, [cutoff](const TraceChunkPtr& c) {
-      return c->max_end() <= cutoff;
-    });
+    lane.chunks.resize(kept);
     std::erase_if(lane.tail, [cutoff](const StateInterval& s) {
       return s.end <= cutoff;
     });
@@ -490,27 +644,36 @@ void TraceStore::erase_before_exact(TimeNs cutoff) {
   // retroactively delete intervals appended after the call.  Only
   // evict_before — the forward-moving-window API — is sticky.
   for (Lane& lane : lanes_) {
+    const std::size_t open_from = lane.chunks.size() - lane.open;
     std::vector<TraceChunkPtr> kept;
     kept.reserve(lane.chunks.size());
-    for (TraceChunkPtr& c : lane.chunks) {
-      if (c->max_end() <= cutoff) {  // entirely dead
-        note_unlinked(c->payload().get());
-        continue;
-      }
+    lane.open = 0;
+    for (std::size_t i = 0; i < lane.chunks.size(); ++i) {
+      TraceChunkPtr& c = lane.chunks[i];
+      std::size_t added = 0;
       if (c->min_end() > cutoff) {  // fence proves no dead entry
         kept.push_back(std::move(c));
-        continue;
+        added = 1;
+      } else {
+        // Straddling or entirely dead: keep the surviving subsequence
+        // (still sorted).
+        std::vector<StateInterval> survivors;
+        if (c->max_end() > cutoff) {
+          survivors.reserve(c->size());
+          for (ChunkCursor cur(*c); cur.valid(); cur.next()) {
+            if (cur.current().end > cutoff) {
+              survivors.push_back(cur.current());
+            }
+          }
+        }
+        note_unlinked(c->payload().get());
+        lane.stored -= c->size() - survivors.size();
+        if (!survivors.empty()) {
+          added = maybe_compress_into(TraceChunk::from_sorted(survivors),
+                                      kept);
+        }
       }
-      // Straddling: rewrite the surviving subsequence (still sorted).
-      std::vector<StateInterval> survivors;
-      survivors.reserve(c->size());
-      for (ChunkCursor cur(*c); cur.valid(); cur.next()) {
-        if (cur.current().end > cutoff) survivors.push_back(cur.current());
-      }
-      note_unlinked(c->payload().get());
-      if (!survivors.empty()) {
-        maybe_compress_into(TraceChunk::from_sorted(survivors), kept);
-      }
+      if (i >= open_from) lane.open += added;
     }
     lane.chunks = std::move(kept);
     std::erase_if(lane.tail, [cutoff](const StateInterval& s) {
@@ -532,10 +695,7 @@ void TraceStore::set_window(TimeNs begin, TimeNs end) {
 
 std::uint64_t TraceStore::state_count() const noexcept {
   std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) {
-    for (const TraceChunkPtr& c : lane.chunks) n += c->size();
-    n += lane.tail.size();
-  }
+  for (const Lane& lane : lanes_) n += lane.stored + lane.tail.size();
   return n;
 }
 
@@ -567,7 +727,10 @@ void TraceStore::adopt_chunk(ResourceId r, TraceChunkPtr chunk) {
   if (!chunk || chunk->size() == 0) {
     throw InvalidArgument("adopt_chunk: null or empty chunk");
   }
-  lanes_[static_cast<std::size_t>(r)].chunks.push_back(std::move(chunk));
+  Lane& lane = lanes_[static_cast<std::size_t>(r)];
+  lane.stored += chunk->size();
+  lane.chunks.push_back(std::move(chunk));
+  lane.open = 0;
   sealed_ = false;
   ++generation_;
 }
@@ -761,6 +924,14 @@ void TraceStore::audit() const {
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     const Lane& lane = lanes_[r];
     const std::string where = "resource " + std::to_string(r);
+    std::size_t stored = 0;
+    for (const TraceChunkPtr& c : lane.chunks) stored += c ? c->size() : 0;
+    if (stored != lane.stored || lane.open > lane.chunks.size()) {
+      fail(where + " bookkeeping: " + std::to_string(stored) +
+           " intervals in " + std::to_string(lane.chunks.size()) +
+           " chunks, recorded " + std::to_string(lane.stored) + " with " +
+           std::to_string(lane.open) + " open");
+    }
     for (std::size_t ci = 0; ci < lane.chunks.size(); ++ci) {
       const TraceChunkPtr& c = lane.chunks[ci];
       const std::string chunk_where =

@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -418,14 +419,23 @@ struct ChunkRun {
 /// indistinguishable intervals, the output is the unique sorted sequence
 /// of the input multiset regardless of how it was chunked.  Runs stream
 /// through ChunkCursor, so every backend — resident, mapped, compressed —
-/// merges identically.
+/// merges identically.  Whole runs already in key order (each one's first
+/// interval not below the previous one's last — compaction keeps live
+/// lanes so) are streamed one after another, which is the same sequence.
 template <class F>
 void merge_chunk_runs(std::span<const ChunkRun> runs, F&& f) {
   if (runs.empty()) return;
-  if (runs.size() == 1) {
-    const ChunkRun& run = runs.front();
-    for (ChunkCursor c(*run.chunk, run.size); c.valid(); c.next()) {
-      f(c.current());
+  bool in_order = true;
+  for (std::size_t k = 1; k < runs.size() && in_order; ++k) {
+    const ChunkRun& prev = runs[k - 1];
+    in_order = prev.size == prev.chunk->size() &&
+               !interval_key_less(runs[k].chunk->first(), prev.chunk->last());
+  }
+  if (in_order) {
+    for (const ChunkRun& run : runs) {
+      for (ChunkCursor c(*run.chunk, run.size); c.valid(); c.next()) {
+        f(c.current());
+      }
     }
     return;
   }
@@ -501,9 +511,28 @@ class TraceStore {
   void add_state(ResourceId resource, StateId state, TimeNs begin, TimeNs end);
 
   /// Seals every non-empty tail into a new immutable chunk (sorted by the
-  /// total key), re-derives the observation window from the chunk fences
-  /// unless overridden, and compacts any resource whose chunk list exceeds
-  /// kCompactionThreshold.  Idempotent.
+  /// total key) and re-derives the observation window from the chunk
+  /// fences unless overridden.  Idempotent.
+  ///
+  /// Compaction is tiered and in append order.  A lane's chunks split into
+  /// a *closed* prefix, never merged again, and an *open* suffix holding
+  /// less than the lane's chunk_cap() intervals.  A sealed tail joins the
+  /// open suffix.  If the suffix then holds a cap's worth, it merges whole
+  /// into closed chunks of exactly the cap plus one open remainder.
+  /// Otherwise the tail absorbs the newest open chunks of a smaller size
+  /// class (size class = floor(log_F size), F = kMergeFanIn), and while
+  /// the F newest open chunks share one size class they merge.  Every copy
+  /// of an interval therefore lifts it into a higher size class or closes
+  /// it: O(log cap) copies per interval (compaction_copies()).  Members in
+  /// key order (the live case) are concatenated, others k-way merged; both
+  /// drop intervals at or below the eviction horizon.
+  ///
+  /// Only lanes with a staged tail, or with more chunks than
+  /// lane_chunk_bound() (adopted chunks), are visited, in pool tasks of
+  /// about kSealTaskIntervals staged intervals.  A lane over the bound is
+  /// rewritten whole into cap-sized chunks; a growing raw lane reaches the
+  /// bound only after its stored count has grown severalfold, so the
+  /// rewrite adds O(1) copies per interval.
   void seal_chunk();
 
   /// True after seal_chunk() until the next mutation — all tails are
@@ -550,6 +579,12 @@ class TraceStore {
   /// Total number of state occurrences (sealed + tail).
   [[nodiscard]] std::uint64_t state_count() const noexcept;
 
+  /// Intervals written by compaction merges since construction (a lone
+  /// tail frozen into its own chunk is not a compaction copy).
+  [[nodiscard]] std::uint64_t compaction_copies() const noexcept {
+    return compaction_copies_;
+  }
+
   /// Sealed chunks of one resource, oldest first.
   [[nodiscard]] std::span<const TraceChunkPtr> chunks(ResourceId r) const {
     return lanes_[static_cast<std::size_t>(r)].chunks;
@@ -557,7 +592,9 @@ class TraceStore {
   /// Adopts an externally built sealed chunk (the zero-copy chunk-file
   /// open path): appended to resource r's chunk list as-is.  The chunk
   /// must be sorted by the total key — binary_io validates this when it
-  /// maps a record.  Unseals the store (call seal_chunk() when done).
+  /// maps a record.  Adopted chunks are closed; the next seal rewrites the
+  /// lane only if it holds more than lane_chunk_bound() chunks.  Unseals
+  /// the store (call seal_chunk() when done).
   void adopt_chunk(ResourceId r, TraceChunkPtr chunk);
   /// Mutable tail of one resource, in append order.
   [[nodiscard]] std::span<const StateInterval> tail(ResourceId r) const {
@@ -669,39 +706,77 @@ class TraceStore {
   /// directly in any build.
   void audit() const;
 
-  /// seal_chunk() size-tier-compacts a resource once its chunk list grows
-  /// past this bound (merging the smallest chunks down to half of it), so
-  /// view cursors merge O(1) runs while streaming ingest stays
-  /// O(n log n) overall.
-  static constexpr std::size_t kCompactionThreshold = 16;
-
   /// Compression splits large runs into blocks of at most this many
   /// intervals, each sealed as its own chunk with its own time fences.
   /// Encoded columns have no random access, so fence granularity is what
   /// keeps incremental refolds cheap: a view selecting a window suffix
   /// fence-skips the blocks wholly behind it instead of stream-decoding a
-  /// monolithic chunk from the start on every advance.
-  static constexpr std::size_t kCompressedBlockIntervals = 128;
+  /// monolithic chunk from the start on every advance.  It is also the
+  /// compressed lanes' chunk cap: a full block is closed and never decoded
+  /// by compaction again.
+  static constexpr std::size_t kCompressedBlockIntervals = 512;
+
+  /// Compaction fan-in F: F open chunks of one size class merge, and size
+  /// classes are powers of F.
+  static constexpr std::size_t kMergeFanIn = 4;
+  /// A raw lane's chunk cap is its stored intervals / kRawCapShare (at
+  /// least kMinRawCap), so a chunk straddling the eviction cutoff holds at
+  /// most ~1/8 of the lane as dead weight.
+  static constexpr std::size_t kRawCapShare = 8;
+  static constexpr std::size_t kMinRawCap = 32;
+  /// seal_chunk() hands the pool one task per this many staged intervals.
+  static constexpr std::size_t kSealTaskIntervals = 2048;
+
+  /// Largest chunk a merge writes for a lane of `stored` intervals:
+  /// kCompressedBlockIntervals under kAuto, else
+  /// max(kMinRawCap, stored / kRawCapShare).
+  [[nodiscard]] static std::size_t chunk_cap(std::size_t stored,
+                                             ChunkCompression policy) noexcept;
+  /// Documented per-lane chunk bound: 2 * ceil(stored / cap) closed chunks
+  /// plus (F - 1) open chunks per size class below the cap, for
+  /// cap = chunk_cap(stored, policy).  seal_chunk() rewrites a lane whose
+  /// chunk list exceeds it.
+  [[nodiscard]] static std::size_t lane_chunk_bound(
+      std::size_t stored, ChunkCompression policy) noexcept;
 
  private:
   struct Lane {
     std::vector<TraceChunkPtr> chunks;
     std::vector<StateInterval> tail;
+    /// The newest `open` chunks may still merge; the rest are closed.
+    std::size_t open = 0;
+    /// Intervals held by `chunks`.
+    std::size_t stored = 0;
+  };
+  /// What one seal task hands back for the serial fold-in.
+  struct SealWork {
+    std::vector<std::shared_ptr<const ChunkPayload>> unlinked;
+    std::uint64_t copies = 0;
   };
 
-  void compact_lane(Lane& lane,
-                    std::vector<std::shared_ptr<const ChunkPayload>>&
-                        unlinked);
+  void seal_lane(Lane& lane, SealWork& work);
+  /// Appends a sorted run (a freshly frozen tail) to the open suffix and
+  /// restores the tier shape (see seal_chunk).
+  void insert_run(Lane& lane, std::span<const StateInterval> run,
+                  std::size_t cap, SealWork& work);
+  /// Merges the newest `members` chunks (all open) and re-appends the
+  /// output as closed cap-sized chunks plus one open remainder.
+  void merge_suffix(Lane& lane, std::size_t members, std::size_t cap,
+                    SealWork& work);
+  /// Appends `n` sorted intervals, built by `piece(lo, len)`, as closed
+  /// chunks of exactly `cap` plus one open remainder.
+  void append_cut(
+      Lane& lane, std::size_t n, std::size_t cap,
+      const std::function<TraceChunkPtr(std::size_t, std::size_t)>& piece);
   void derive_window();
 
   /// Applies the compression policy to a freshly built resident chunk,
   /// appending the result to `out`: compressed-resident block chunks (at
-  /// most `block_intervals` intervals each) when the policy is kAuto and
-  /// encoding shrinks the run, the chunk itself unchanged otherwise.
-  void maybe_compress_into(TraceChunkPtr chunk,
-                           std::vector<TraceChunkPtr>& out,
-                           std::size_t block_intervals =
-                               kCompressedBlockIntervals) const;
+  /// most kCompressedBlockIntervals intervals each) when the policy is
+  /// kAuto and encoding shrinks the run, the chunk itself unchanged
+  /// otherwise.  Returns the number of chunks appended.
+  std::size_t maybe_compress_into(TraceChunkPtr chunk,
+                                  std::vector<TraceChunkPtr>& out) const;
 
   /// Spill-file record accounting: called whenever a chunk leaves its
   /// lane slot for good (evict, erase, pin, compaction merge) so the
@@ -736,6 +811,7 @@ class TraceStore {
   bool sealed_ = false;
   bool window_overridden_ = false;
   std::uint64_t generation_ = 1;
+  std::uint64_t compaction_copies_ = 0;
 };
 
 }  // namespace stagg

@@ -339,6 +339,16 @@ void run_randomized_history(std::size_t shards, std::uint64_t seed) {
       }
     }
   }
+  // Compaction copies sum over the shards; one shard compacts exactly
+  // like the monolithic store it mirrors.
+  std::uint64_t per_shard = 0;
+  for (std::size_t k = 0; k < shards; ++k) {
+    per_shard += sharded->shard(k).compaction_copies();
+  }
+  EXPECT_EQ(sharded->compaction_copies(), per_shard);
+  if (shards == 1) {
+    EXPECT_EQ(sharded->compaction_copies(), mono->compaction_copies());
+  }
   sharded.reset();
   for (std::size_t k = 0; k < shards; ++k) {
     std::remove((shards == 1 ? spill : spill + ".s" + std::to_string(k))

@@ -522,6 +522,9 @@ TEST(SlidingWindow, SlidesMoveNoCellBetweenCompactions) {
   SlidingWindowSession session(h, std::move(initial),
                                TimeGrid(0, seconds(48.0), 48),
                                {0.2, 0.5, 0.8}, opt);
+  // The session's aggregator is built in the sliding layout: attaching
+  // (cube fold, cache build, first DP) relocates nothing.
+  EXPECT_EQ(session.aggregator().relocated_cells(), 0u);
   constexpr std::int32_t kT = 48;
   const std::int32_t slack = window_slack(kT);
   ASSERT_EQ(slack, 6);

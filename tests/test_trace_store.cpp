@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +40,10 @@
 
 namespace stagg {
 namespace {
+
+// Per-lane chunk bound of the compaction tests below (raw lanes keep it
+// under tiered compaction), and the round counts derived from it.
+constexpr std::size_t kChunkBound = 16;
 
 /// Temp-file path helper (tests run in the build directory).
 std::string temp_path(const std::string& name) {
@@ -144,7 +149,7 @@ TEST(TraceStore, CompactionBoundsChunkCountAndPreservesRows) {
   (void)many.states().intern("s");
   (void)once.states().intern("s");
   SplitMix64 mix(11);
-  const int rounds = 3 * static_cast<int>(TraceStore::kCompactionThreshold);
+  const int rounds = 3 * static_cast<int>(kChunkBound);
   for (int round = 0; round < rounds; ++round) {
     const auto b = static_cast<TimeNs>(mix.next() % 10000);
     many.add_state(rm, StateId{0}, b, b + 5);
@@ -153,7 +158,7 @@ TEST(TraceStore, CompactionBoundsChunkCountAndPreservesRows) {
   }
   once.seal();
   EXPECT_LE(many.store()->chunks(rm).size(),
-            TraceStore::kCompactionThreshold + 1);
+            kChunkBound + 1);
   const auto a = many.intervals(rm);
   const auto e = once.intervals(ro);
   ASSERT_EQ(a.size(), e.size());
@@ -220,7 +225,7 @@ TEST(TraceStore, CompactionRespectsEvictionHorizonUnderSlidingIngest) {
   const TimeNs dt = 10;
   const TimeNs straddle = 40 * dt;  // keeps ~44 chunks fence-alive
   const TimeNs window = 4 * dt;
-  const int rounds = 16 * static_cast<int>(TraceStore::kCompactionThreshold);
+  const int rounds = 16 * static_cast<int>(kChunkBound);
   for (int round = 0; round < rounds; ++round) {
     const TimeNs t = dt * round;
     store.add_state(r, x, t, t + dt / 2);    // dead a few rounds later
@@ -231,10 +236,10 @@ TEST(TraceStore, CompactionRespectsEvictionHorizonUnderSlidingIngest) {
   // Alive: ~(straddle + window)/dt straddlers + the short tail of the
   // window, with compaction slack — far below the 2 * rounds ingested.
   const auto alive_bound = static_cast<std::uint64_t>(
-      2 * ((straddle + window) / dt) + 4 * TraceStore::kCompactionThreshold);
+      2 * ((straddle + window) / dt) + 4 * kChunkBound);
   EXPECT_LE(store.state_count(), alive_bound);
   EXPECT_LT(store.state_count(), static_cast<std::uint64_t>(rounds));
-  EXPECT_LE(store.chunks(r).size(), TraceStore::kCompactionThreshold + 1);
+  EXPECT_LE(store.chunks(r).size(), kChunkBound + 1);
 }
 
 TEST(TraceStore, EraseBeforeIsPointInTimeNotRetroactive) {
@@ -254,7 +259,7 @@ TEST(TraceStore, EraseBeforeIsPointInTimeNotRetroactive) {
   t.seal();
   // Force many seal rounds so compaction definitely runs.
   for (int round = 0;
-       round < 3 * static_cast<int>(TraceStore::kCompactionThreshold);
+       round < 3 * static_cast<int>(kChunkBound);
        ++round) {
     t.add_state(r, x, 400 + round, 400 + round + 1);
     t.seal();
@@ -264,6 +269,127 @@ TEST(TraceStore, EraseBeforeIsPointInTimeNotRetroactive) {
     found = found || (s.begin == 10 && s.end == 50);
   }
   EXPECT_TRUE(found) << "late-appended [10,50) was retroactively erased";
+}
+
+// In-order live ingest: every round appends `per_round` gapless intervals
+// to each of `lanes` lanes and seals; with `window` > 0 it also evicts
+// everything that ended more than `window` rounds ago.
+struct InOrderIngest {
+  std::size_t lanes = 2;
+  int per_round = 1;
+  ChunkCompression policy = ChunkCompression::kNone;
+  int window = 0;
+  static constexpr TimeNs kRound = 1200;
+};
+
+void ingest_round(TraceStore& store, const InOrderIngest& cfg, int round) {
+  const TimeNs step = InOrderIngest::kRound / cfg.per_round;
+  for (std::size_t r = 0; r < cfg.lanes; ++r) {
+    for (int k = 0; k < cfg.per_round; ++k) {
+      const TimeNs b = InOrderIngest::kRound * round + step * k;
+      store.add_state(static_cast<ResourceId>(r),
+                      static_cast<StateId>((k + round) % 3), b, b + step);
+    }
+  }
+  store.seal_chunk();
+  if (cfg.window > 0 && round > cfg.window) {
+    store.evict_before(InOrderIngest::kRound * (round - cfg.window));
+  }
+}
+
+TraceStore make_ingest_store(const InOrderIngest& cfg) {
+  TraceStore store;
+  for (std::size_t r = 0; r < cfg.lanes; ++r) {
+    (void)store.add_resource("r" + std::to_string(r));
+  }
+  for (const char* name : {"a", "b", "c"}) (void)store.states().intern(name);
+  store.set_compression(cfg.policy);
+  return store;
+}
+
+TEST(TraceStoreCompaction, CopiesPerIntervalAreLogarithmic) {
+  // 10 000 in-order rounds.  Tiered compaction copies an interval once per
+  // size class it climbs plus the copy that closes it, so copies per
+  // sealed interval stay below c * log2(n) with c = 1 (n = intervals
+  // sealed).  The smallest-first policy it replaced re-merged its large
+  // chunks and read up to 70 (raw) and 1 334 (kAuto) copies per interval
+  // here.  After every seal each lane is within lane_chunk_bound().
+  constexpr int kRounds = 10000;
+  for (const ChunkCompression policy :
+       {ChunkCompression::kNone, ChunkCompression::kAuto}) {
+    for (const int window : {0, 400}) {
+      for (const int per_round : {1, 12}) {
+        InOrderIngest cfg;
+        cfg.per_round = per_round;
+        cfg.policy = policy;
+        cfg.window = window;
+        const std::string context =
+            std::string(policy == ChunkCompression::kAuto ? "kAuto" : "raw") +
+            " window " + std::to_string(window) + " per_round " +
+            std::to_string(per_round);
+        TraceStore store = make_ingest_store(cfg);
+        std::size_t worst_excess = 0;
+        for (int round = 0; round < kRounds; ++round) {
+          ingest_round(store, cfg, round);
+          for (std::size_t r = 0; r < cfg.lanes; ++r) {
+            std::size_t stored = 0;
+            const auto chunks = store.chunks(static_cast<ResourceId>(r));
+            for (const TraceChunkPtr& c : chunks) stored += c->size();
+            const std::size_t bound =
+                TraceStore::lane_chunk_bound(stored, policy);
+            if (chunks.size() > bound) {
+              worst_excess = std::max(worst_excess, chunks.size() - bound);
+            }
+          }
+        }
+        EXPECT_EQ(worst_excess, 0u) << context;
+        const double sealed = static_cast<double>(kRounds) * per_round *
+                              static_cast<double>(cfg.lanes);
+        const double per_interval =
+            static_cast<double>(store.compaction_copies()) / sealed;
+        EXPECT_LE(per_interval, std::log2(sealed)) << context;
+        EXPECT_NO_THROW(store.audit()) << context;
+      }
+    }
+  }
+}
+
+TEST(TraceStoreCompaction, NewestSliceViewSelectsOnlyItsChunks) {
+  // After 2 000 evicting in-order rounds, a view over the newest slice
+  // selects that slice's intervals plus at most one chunk cap per lane —
+  // old data is never merged into the chunks that hold new data.  (The
+  // smallest-first policy's compressed blocks grew with the lane: it
+  // selected 2 380 intervals against a bound of 1 144 here.)
+  constexpr int kWindow = 1500;
+  constexpr int kRounds = kWindow + 2000;
+  constexpr int kSliceRounds = 5;
+  for (const ChunkCompression policy :
+       {ChunkCompression::kNone, ChunkCompression::kAuto}) {
+    InOrderIngest cfg;
+    cfg.per_round = 12;
+    cfg.policy = policy;
+    cfg.window = kWindow;
+    auto store = std::make_shared<TraceStore>(make_ingest_store(cfg));
+    for (int round = 0; round < kRounds; ++round) {
+      ingest_round(*store, cfg, round);
+    }
+    const TimeNs t1 = InOrderIngest::kRound * kRounds;
+    const TimeNs t0 = t1 - InOrderIngest::kRound * kSliceRounds;
+    const TraceView view(store, t0, t1);
+    std::uint64_t slack = 0;
+    for (std::size_t r = 0; r < cfg.lanes; ++r) {
+      std::size_t stored = 0;
+      for (const TraceChunkPtr& c : store->chunks(static_cast<ResourceId>(r))) {
+        stored += c->size();
+      }
+      slack += TraceStore::chunk_cap(stored, policy);
+    }
+    const std::uint64_t slice = static_cast<std::uint64_t>(kSliceRounds) *
+                                static_cast<std::uint64_t>(cfg.per_round) *
+                                cfg.lanes;
+    EXPECT_LE(view.selected_count(), slice + slack)
+        << (policy == ChunkCompression::kAuto ? "kAuto" : "raw");
+  }
 }
 
 TEST(TraceStore, OutstandingViewsSurviveEvictionAndCompaction) {
@@ -562,13 +688,17 @@ TEST(TraceStoreSpill, PartialBudgetRespectsColdFirstOrderAndBudget) {
   Trace t;
   const ResourceId r = t.add_resource("r");
   const StateId x = t.states().intern("s");
+  // Six adopted chunks (a seal per round would let compaction merge them;
+  // adopted chunks stay as they are while the lane is under its bound).
   for (int round = 0; round < 6; ++round) {
+    std::vector<StateInterval> run;
     for (int k = 0; k < 8; ++k) {
       const TimeNs b = 100 * round + k;
-      t.add_state(r, x, b, b + 5);
+      run.push_back({b, b + 5, x});
     }
-    t.seal();
+    t.store()->adopt_chunk(r, TraceChunk::from_sorted(run));
   }
+  t.seal();
   const std::string spill = spill_path("budget");
   std::remove(spill.c_str());
   t.store()->enable_spill(spill);
@@ -670,7 +800,7 @@ TEST(TraceStoreSpill, CompactionPinsSpilledChunksAndPreservesRows) {
   mixed.store()->enable_spill(spill);
 
   SplitMix64 mix(0x54);
-  const int rounds = 3 * static_cast<int>(TraceStore::kCompactionThreshold);
+  const int rounds = 3 * static_cast<int>(kChunkBound);
   for (int round = 0; round < rounds; ++round) {
     for (int k = 0; k < 4; ++k) {
       const auto b = static_cast<TimeNs>(mix.next() % 10000);
@@ -685,7 +815,7 @@ TEST(TraceStoreSpill, CompactionPinsSpilledChunksAndPreservesRows) {
   }
   once.seal();
   EXPECT_LE(mixed.store()->chunks(rm).size(),
-            TraceStore::kCompactionThreshold + 1);
+            kChunkBound + 1);
   EXPECT_GT(mixed.store()->spilled_chunk_bytes(), 0u);
   const auto a = mixed.intervals(rm);
   const auto e = once.intervals(ro);
@@ -1015,10 +1145,10 @@ TEST(TraceStoreCompress, MixedBackendCompactionPreservesRows) {
   mixed.store()->enable_spill(spill);
 
   SplitMix64 mix(0x74);
-  const int rounds = 3 * static_cast<int>(TraceStore::kCompactionThreshold);
+  const int rounds = 3 * static_cast<int>(kChunkBound);
   for (int round = 0; round < rounds; ++round) {
     // Raw chunks for the first tier, compressed ones from then on.
-    if (round == static_cast<int>(TraceStore::kCompactionThreshold)) {
+    if (round == static_cast<int>(kChunkBound)) {
       mixed.store()->set_compression(ChunkCompression::kAuto);
     }
     for (int k = 0; k < 4; ++k) {
@@ -1032,7 +1162,7 @@ TEST(TraceStoreCompress, MixedBackendCompactionPreservesRows) {
   }
   once.seal();
   EXPECT_LE(mixed.store()->chunks(rm).size(),
-            TraceStore::kCompactionThreshold + 1);
+            kChunkBound + 1);
   const auto a = mixed.intervals(rm);
   const auto e = once.intervals(ro);
   ASSERT_EQ(a.size(), e.size());
@@ -1416,7 +1546,7 @@ TEST(TraceStoreIo, ColumnarLoadOfInterleavedUnsortedRecordsMatchesStreaming) {
     EXPECT_EQ(store->state_count(), records.size()) << context;
     for (std::size_t r = 0; r < resources.size(); ++r) {
       EXPECT_LE(store->chunks(static_cast<ResourceId>(r)).size(),
-                TraceStore::kCompactionThreshold)
+                kChunkBound)
           << context;
     }
     EXPECT_EQ(stream_all(TraceView(store)), expected) << context;
