@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -494,6 +495,7 @@ MappedChunkRecord map_chunk_record_v2(
   StateInterval last{};
   TimeNs seen_min_end = 0;
   TimeNs seen_max_end = 0;
+  TimeNs lead_max_end = std::numeric_limits<TimeNs>::min();
   StateInterval s{};
   StateInterval prev{};
   std::uint64_t decoded = 0;
@@ -516,6 +518,7 @@ MappedChunkRecord map_chunk_record_v2(
       }
       seen_min_end = std::min(seen_min_end, s.end);
       seen_max_end = std::max(seen_max_end, s.end);
+      lead_max_end = std::max(lead_max_end, prev.end);
     }
     prev = s;
     ++decoded;
@@ -545,8 +548,8 @@ MappedChunkRecord map_chunk_record_v2(
   } else {
     auto payload =
         std::make_shared<const CompressedChunkPayload>(region, coding);
-    chunk = std::make_shared<const TraceChunk>(std::move(payload), first,
-                                               last, min_end, max_end);
+    chunk = std::make_shared<const TraceChunk>(
+        std::move(payload), first, last, min_end, max_end, lead_max_end);
   }
   return {static_cast<ResourceId>(ur), std::move(chunk),
           static_cast<std::size_t>(record_bytes)};
@@ -989,10 +992,11 @@ bool is_chunk_file(const std::string& path) {
          std::memcmp(magic, kChunkMagicV1, sizeof kChunkMagicV1) == 0;
 }
 
-SpilledChunkRecord spill_chunk_to_file(const std::string& path,
-                                       ResourceId resource,
-                                       const TraceChunk& chunk,
-                                       std::uint64_t state_count) {
+std::vector<SpilledChunkRecord> spill_chunks_to_file(
+    const std::string& path, std::span<const SpillItem> items,
+    std::uint64_t state_count) {
+  std::vector<SpilledChunkRecord> out;
+  if (items.empty()) return out;
   std::uint64_t offset = 0;
   {
     // "a+" so a pre-existing file's magic can be read back: appending to
@@ -1022,21 +1026,36 @@ SpilledChunkRecord spill_chunk_to_file(const std::string& path,
       }
     }
     offset = static_cast<std::uint64_t>(end);
-    write_chunk_record(f.get(), path, resource, chunk);
+    for (const SpillItem& item : items) {
+      write_chunk_record(f.get(), path, item.resource, *item.chunk);
+    }
     if (std::fflush(f.get()) != 0) {
       throw IoError("flush failed on spill file '" + path + "'");
     }
   }
-  // Map the freshly appended record back and re-validate it through the
-  // same path an open uses: a torn or short write surfaces here, loudly,
-  // not as a corrupt stream later.
-  const ChunkSections sec = chunk_sections(chunk);
-  const std::uint64_t record_bytes = chunk_record_bytes_v2(
-      sec.begin.size(), sec.end.size(), sec.state.size());
-  const auto region = MappedRegion::map(
-      path, offset, static_cast<std::size_t>(record_bytes));
-  return {map_chunk_record_v2(region, 0, offset, path, state_count).chunk,
-          record_bytes};
+  // Map the freshly appended records back and re-validate them through
+  // the same path an open uses: a torn or short write surfaces here,
+  // loudly, not as a corrupt stream later.
+  std::vector<std::uint64_t> record_bytes;
+  record_bytes.reserve(items.size());
+  std::uint64_t total = 0;
+  for (const SpillItem& item : items) {
+    const ChunkSections sec = chunk_sections(*item.chunk);
+    record_bytes.push_back(chunk_record_bytes_v2(
+        sec.begin.size(), sec.end.size(), sec.state.size()));
+    total += record_bytes.back();
+  }
+  const auto region =
+      MappedRegion::map(path, offset, static_cast<std::size_t>(total));
+  out.reserve(items.size());
+  std::size_t pos = 0;
+  for (const std::uint64_t bytes : record_bytes) {
+    out.push_back(
+        {map_chunk_record_v2(region, pos, offset, path, state_count).chunk,
+         bytes});
+    pos += static_cast<std::size_t>(bytes);
+  }
+  return out;
 }
 
 std::shared_ptr<TraceStore> read_binary_trace_store(const std::string& path,

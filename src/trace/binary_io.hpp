@@ -142,18 +142,24 @@ struct SpilledChunkRecord {
   std::uint64_t record_bytes = 0;
 };
 
-/// Appends one chunk (raw or compressed — the record keeps the chunk's
-/// encoding) to the append-only spill file at `path` (created with the
-/// spill magic on first use; a pre-existing file must carry that magic
-/// and an 8-aligned size, or the append is refused), then maps the
-/// freshly written record back and returns the file-backed chunk — the
-/// backend swap behind TraceStore::spill_cold.  The mapped record is
-/// re-validated (against `state_count` registry entries), so a torn
-/// write fails loudly here, not at stream time.
-[[nodiscard]] SpilledChunkRecord spill_chunk_to_file(const std::string& path,
-                                                     ResourceId resource,
-                                                     const TraceChunk& chunk,
-                                                     std::uint64_t state_count);
+/// One chunk to spill and the resource it belongs to.
+struct SpillItem {
+  ResourceId resource = kInvalidResource;
+  const TraceChunk* chunk = nullptr;
+};
+
+/// Appends the chunks (raw or compressed — a record keeps its chunk's
+/// encoding) to the append-only spill file at `path` in one append (the
+/// file is created with the spill magic on first use; a pre-existing file
+/// must carry that magic and an 8-aligned size, or the append is
+/// refused), then maps the appended records back as one region and
+/// returns one file-backed chunk per item, in order — the backend swap
+/// behind TraceStore::spill_cold and its file compaction.  Every mapped
+/// record is re-validated (against `state_count` registry entries), so a
+/// torn write fails loudly here, not at stream time.
+[[nodiscard]] std::vector<SpilledChunkRecord> spill_chunks_to_file(
+    const std::string& path, std::span<const SpillItem> items,
+    std::uint64_t state_count);
 
 /// Decodes only the header and tables.
 [[nodiscard]] TraceFileInfo read_binary_trace_info(const std::string& path);

@@ -48,10 +48,49 @@ std::size_t varint_sum(const std::uint64_t* zz, std::size_t n) noexcept {
   return s;
 }
 
+/// Appends the varints of zz[0, n), whose sizes sum to `bytes` (the
+/// varint_sum the plan measured), writing in place past one resize.
 void put_varints(std::vector<std::uint8_t>& out, const std::uint64_t* zz,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, zz[i]);
+                 std::size_t n, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  std::uint8_t* p = out.data() + at;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = zz[i];
+    while (v >= 0x80) {
+      *p++ = wrap_u8(v | 0x80);
+      v >>= 7;
+    }
+    *p++ = narrow<std::uint8_t>(v);
+  }
 }
+
+/// Candidate streams and dictionary scratch of one encode.  A seal
+/// encodes one short run per lane, where allocating and zero-filling the
+/// streams costs as much as measuring them, so each thread keeps one set
+/// for runs of up to kPooledIntervals (every compressed block fits);
+/// longer runs use their own.  encode_columns never waits on the pool,
+/// so a thread's set is never in use twice.
+struct EncodeScratch {
+  static constexpr std::size_t kPooledIntervals = 1024;
+
+  simd::AlignedVec<std::uint64_t> beg_delta;
+  simd::AlignedVec<std::uint64_t> beg_dod;
+  simd::AlignedVec<std::uint64_t> beg_gap;
+  simd::AlignedVec<std::uint64_t> dur;
+  simd::AlignedVec<std::uint64_t> dur_delta;
+  simd::AlignedVec<std::uint64_t> dur_dod;
+  simd::AlignedVec<std::int32_t> dict_idx;
+  std::vector<StateId> dict;
+
+  void resize(std::size_t n) {
+    for (auto* v : {&beg_delta, &beg_dod, &beg_gap, &dur, &dur_delta,
+                    &dur_dod}) {
+      v->resize(n);
+    }
+    dict_idx.resize(n);
+  }
+};
 
 struct TimePlan {
   TimeCodec codec = TimeCodec::kRaw;
@@ -109,12 +148,8 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
 }
 
 std::size_t varint_size(std::uint64_t v) noexcept {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  // ceil(significant bits / 7), at least one byte.
+  return static_cast<std::size_t>(std::bit_width(v | 1) + 6) / 7;
 }
 
 EncodedColumns encode_columns(std::span<const TimeNs> begins,
@@ -127,12 +162,17 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
 
   // --- Pre-pass: every candidate stream, zigzag-folded, in one SIMD walk
   // per column (see codec_kernels.hpp for why this is exact).
-  simd::AlignedVec<std::uint64_t> beg_delta(n);
-  simd::AlignedVec<std::uint64_t> beg_dod(n);
-  simd::AlignedVec<std::uint64_t> beg_gap(n);
-  simd::AlignedVec<std::uint64_t> dur(n);
-  simd::AlignedVec<std::uint64_t> dur_delta(n);
-  simd::AlignedVec<std::uint64_t> dur_dod(n);
+  thread_local EncodeScratch pooled;
+  EncodeScratch own;
+  EncodeScratch& scratch =
+      n <= EncodeScratch::kPooledIntervals ? pooled : own;
+  scratch.resize(n);
+  auto& beg_delta = scratch.beg_delta;
+  auto& beg_dod = scratch.beg_dod;
+  auto& beg_gap = scratch.beg_gap;
+  auto& dur = scratch.dur;
+  auto& dur_delta = scratch.dur_delta;
+  auto& dur_dod = scratch.dur_dod;
 
   const bool beg_const = codec::all_equal_u64(
       reinterpret_cast<const std::uint64_t*>(begins.data()), n);
@@ -173,7 +213,8 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
   consider(end_plan, TimeCodec::kDeltaOfDelta, varint_sum(dur_dod.data(), n));
 
   // --- State column: raw ids vs dictionary + RLE / bitpack.
-  std::vector<StateId> dict(states.begin(), states.end());
+  std::vector<StateId>& dict = scratch.dict;
+  dict.assign(states.begin(), states.end());
   std::sort(dict.begin(), dict.end());
   dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
   std::size_t dict_header = varint_size(dict.size());
@@ -182,7 +223,7 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
   }
   // One counting-compare pass resolves every value's dictionary index;
   // the RLE and bitpack paths below reuse it instead of re-searching.
-  simd::AlignedVec<std::int32_t> dict_idx(n);
+  auto& dict_idx = scratch.dict_idx;
   codec::dict_indices(states.data(), n, dict.data(), dict.size(),
                       dict_idx.data());
   std::size_t rle_size = dict_header;
@@ -225,16 +266,16 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
       append_raw(out.bytes, begins.data(), begins.size_bytes());
       break;
     case TimeCodec::kDelta:
-      put_varints(out.bytes, beg_delta.data(), n);
+      put_varints(out.bytes, beg_delta.data(), n, begin_plan.size);
       break;
     case TimeCodec::kDeltaOfDelta:
-      put_varints(out.bytes, beg_dod.data(), n);
+      put_varints(out.bytes, beg_dod.data(), n, begin_plan.size);
       break;
     case TimeCodec::kConst:
       put_zz(out.bytes, as_u(begins[0]));
       break;
     case TimeCodec::kGapFromPrevEnd:
-      put_varints(out.bytes, beg_gap.data(), n);
+      put_varints(out.bytes, beg_gap.data(), n, begin_plan.size);
       break;
   }
   out.begin_bytes = out.bytes.size();
@@ -244,10 +285,10 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
       append_raw(out.bytes, ends.data(), ends.size_bytes());
       break;
     case TimeCodec::kDelta:
-      put_varints(out.bytes, dur_delta.data(), n);
+      put_varints(out.bytes, dur_delta.data(), n, end_plan.size);
       break;
     case TimeCodec::kDeltaOfDelta:
-      put_varints(out.bytes, dur_dod.data(), n);
+      put_varints(out.bytes, dur_dod.data(), n, end_plan.size);
       break;
     case TimeCodec::kConst:
       put_zz(out.bytes, dur0);
@@ -298,6 +339,8 @@ EncodedColumns encode_columns(std::span<const TimeNs> begins,
   out.first = {begins.front(), ends.front(), states.front()};
   out.last = {begins.back(), ends.back(), states.back()};
   codec::minmax_i64(ends.data(), n, out.min_end, out.max_end);
+  TimeNs lead_min = 0;
+  codec::minmax_i64(ends.data(), n - 1, lead_min, out.lead_max_end);
   return out;
 }
 
@@ -340,6 +383,27 @@ ColumnsDecoder::ColumnsDecoder(const ColumnsCoding& coding)
 
 std::uint64_t ColumnsDecoder::take_varint(SectionCursor& cur,
                                           const char* what) {
+  if (cur.pos + 8 <= cur.bytes.size()) {
+    // Word fast path: one unaligned little-endian load (the byte order
+    // kRaw columns already assume) finds the terminating byte, and the
+    // 7-bit groups are compacted without a per-byte branch.  At most 56
+    // payload bits fit, so the overlong check of the byte loop below
+    // cannot trigger here.
+    std::uint64_t word = 0;
+    std::memcpy(&word, cur.bytes.data() + cur.pos, 8);
+    const std::uint64_t stops = ~word & 0x8080808080808080ULL;
+    if (stops != 0) {
+      const auto len =
+          static_cast<std::size_t>(std::countr_zero(stops) / 8 + 1);
+      if (len < 8) word &= (std::uint64_t{1} << (len * 8)) - 1;
+      std::uint64_t v = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        v |= (word >> k) & (std::uint64_t{0x7F} << (7 * k));
+      }
+      cur.pos += len;
+      return v;
+    }
+  }
   std::uint64_t v = 0;
   std::uint32_t shift = 0;
   for (;;) {

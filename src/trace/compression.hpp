@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -130,6 +131,9 @@ struct EncodedColumns {
   StateInterval last{};
   TimeNs min_end = 0;
   TimeNs max_end = 0;
+  /// Highest end among all intervals but the last (TraceChunk's lead
+  /// fence; the TimeNs minimum for a one-interval run).
+  TimeNs lead_max_end = std::numeric_limits<TimeNs>::min();
 
   [[nodiscard]] std::size_t encoded_bytes() const noexcept {
     return bytes.size();

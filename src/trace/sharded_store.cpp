@@ -185,8 +185,23 @@ void ShardedTraceStore::ingest(std::span<const EventRecord> records) {
 }
 
 void ShardedTraceStore::seal_chunk() {
+  // Only shards with staged tails get a pool task.  Sealing the others
+  // re-derives their window (and, after adopt_chunk, may rewrite a lane
+  // over its chunk bound), cheaper inline than a task hand-off.
+  std::vector<TraceStore*> staged;
+  for (const auto& shard : shards_) {
+    if (shard->tails_sealed()) {
+      shard->seal_chunk();
+    } else {
+      staged.push_back(shard.get());
+    }
+  }
+  if (staged.size() == 1) {
+    staged.front()->seal_chunk();
+    return;
+  }
   parallel_for(
-      shards_.size(), [&](std::size_t k) { shards_[k]->seal_chunk(); },
+      staged.size(), [&](std::size_t k) { staged[k]->seal_chunk(); },
       /*grain=*/1);
 }
 

@@ -66,9 +66,9 @@ TraceChunkPtr make_resident(const TraceChunk& chunk) {
                    coding.state_section.end());
   auto payload =
       std::make_shared<const CompressedChunkPayload>(std::move(enc));
-  return std::make_shared<const TraceChunk>(std::move(payload), chunk.first(),
-                                            chunk.last(), chunk.min_end(),
-                                            chunk.max_end());
+  return std::make_shared<const TraceChunk>(
+      std::move(payload), chunk.first(), chunk.last(), chunk.min_end(),
+      chunk.max_end(), chunk.lead_max_end());
 }
 
 }  // namespace
@@ -79,12 +79,17 @@ TraceChunk::TraceChunk(std::vector<TimeNs> begins, std::vector<TimeNs> ends,
       begins.size() != states.size()) {
     throw InvalidArgument("TraceChunk: empty or mismatched columns");
   }
-  min_end_ = std::numeric_limits<TimeNs>::max();
-  max_end_ = std::numeric_limits<TimeNs>::min();
-  for (const TimeNs e : ends) {
-    min_end_ = std::min(min_end_, e);
-    max_end_ = std::max(max_end_, e);
+  // Local accumulators: the members could alias the column, so updating
+  // them in the loop would store and reload them on every element.
+  TimeNs min_end = std::numeric_limits<TimeNs>::max();
+  TimeNs max_end = std::numeric_limits<TimeNs>::min();
+  for (std::size_t i = 0; i + 1 < ends.size(); ++i) {
+    min_end = std::min(min_end, ends[i]);
+    max_end = std::max(max_end, ends[i]);
   }
+  lead_max_end_ = max_end;
+  min_end_ = std::min(min_end, ends.back());
+  max_end_ = std::max(max_end, ends.back());
   auto payload = std::make_shared<const ResidentChunkPayload>(
       std::move(begins), std::move(ends), std::move(states));
   begins_ = payload->begins();
@@ -111,16 +116,20 @@ TraceChunk::TraceChunk(std::shared_ptr<const ChunkPayload> payload,
   size_ = begins_.size();
   first_ = at(0);
   last_ = at(size_ - 1);
+  TimeNs lead = std::numeric_limits<TimeNs>::min();
+  for (std::size_t i = 0; i + 1 < size_; ++i) lead = std::max(lead, ends_[i]);
+  lead_max_end_ = lead;
 }
 
 TraceChunk::TraceChunk(std::shared_ptr<const ChunkPayload> payload,
                        StateInterval first, StateInterval last, TimeNs min_end,
-                       TimeNs max_end)
+                       TimeNs max_end, TimeNs lead_max_end)
     : payload_(std::move(payload)),
       first_(first),
       last_(last),
       min_end_(min_end),
-      max_end_(max_end) {
+      max_end_(max_end),
+      lead_max_end_(lead_max_end) {
   if (!payload_ || payload_->size() == 0) {
     throw InvalidArgument("TraceChunk: null or empty payload");
   }
@@ -150,17 +159,19 @@ std::shared_ptr<const TraceChunk> TraceChunk::from_sorted(
 }
 
 std::size_t TraceChunk::prefix_below(TimeNs t1, StateInterval* last) const {
+  // Whole-chunk fast path: the last (highest) begin is already below t1
+  // (a view over the whole trace takes it for every chunk, without a
+  // search through the begins column).
+  if (last_.begin < t1) {
+    if (last != nullptr) *last = last_;
+    return size_;
+  }
   if (payload_->addressable()) {
     const std::size_t n = static_cast<std::size_t>(
         std::lower_bound(begins_.begin(), begins_.end(), t1) -
         begins_.begin());
     if (n > 0 && last != nullptr) *last = at(n - 1);
     return n;
-  }
-  // Whole-chunk fast path: the last (highest) begin is already below t1.
-  if (last_.begin < t1) {
-    if (last != nullptr) *last = last_;
-    return size_;
   }
   // Streaming scan: begins are sorted, so stop at the first begin >= t1.
   std::size_t n = 0;
@@ -287,10 +298,11 @@ std::size_t TraceStore::maybe_compress_into(
     const StateInterval last = enc.last;
     const TimeNs min_end = enc.min_end;
     const TimeNs max_end = enc.max_end;
+    const TimeNs lead_max_end = enc.lead_max_end;
     auto payload =
         std::make_shared<const CompressedChunkPayload>(std::move(enc));
     pieces.push_back(std::make_shared<const TraceChunk>(
-        std::move(payload), first, last, min_end, max_end));
+        std::move(payload), first, last, min_end, max_end, lead_max_end));
   }
   // Nothing shrank: keep the original chunk whole (no gratuitous copies
   // or block splits of an incompressible run).
@@ -389,6 +401,13 @@ void gather(std::span<const TraceChunkPtr> members, bool drop,
                    });
 }
 
+/// Intervals held by a lane's chunks.
+std::size_t intervals_in(std::span<const TraceChunkPtr> chunks) noexcept {
+  std::size_t n = 0;
+  for (const TraceChunkPtr& c : chunks) n += c->size();
+  return n;
+}
+
 template <class T>
 std::vector<T> slice_of(std::vector<T>& v, std::size_t lo, std::size_t len,
                         bool whole) {
@@ -415,20 +434,33 @@ std::size_t TraceStore::lane_chunk_bound(std::size_t stored,
 void TraceStore::seal_chunk() {
   if (sealed_) return;
   // Only lanes with work are visited: a staged tail, or more chunks than
-  // the bound (adopted chunks).  Tasks group consecutive lanes until they
-  // hold about kSealTaskIntervals intervals of work, so a seal of a few
+  // the bound (adopted chunks).  No lane's bound is below
+  // lane_chunk_bound(0), so a lane without a tail and with no more chunks
+  // than that is skipped without summing its chunk sizes.  Tasks group
+  // consecutive lanes until they hold about kSealTaskIntervals intervals
+  // of work (kSealTaskEncodedIntervals under kAuto), so a seal of a few
   // intervals over many lanes is a few tasks, not one per lane.
-  std::vector<std::size_t> todo;
+  struct Todo {
+    std::size_t lane;
+    std::size_t stored;
+  };
+  std::vector<Todo> todo;
   std::vector<std::size_t> task_end;
   std::size_t pending = 0;
+  const std::size_t task_intervals = compression_ == ChunkCompression::kAuto
+                                         ? kSealTaskEncodedIntervals
+                                         : kSealTaskIntervals;
+  const std::size_t min_bound = lane_chunk_bound(0, compression_);
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     const Lane& lane = lanes_[r];
+    if (lane.tail.empty() && lane.chunks.size() <= min_bound) continue;
+    const std::size_t stored = intervals_in(lane.chunks);
     const bool over =
-        lane.chunks.size() > lane_chunk_bound(lane.stored, compression_);
+        lane.chunks.size() > lane_chunk_bound(stored, compression_);
     if (lane.tail.empty() && !over) continue;
-    todo.push_back(r);
-    pending += lane.tail.size() + (over ? lane.stored : 0);
-    if (pending >= kSealTaskIntervals) {
+    todo.push_back({r, stored});
+    pending += lane.tail.size() + (over ? stored : 0);
+    if (pending >= task_intervals) {
       task_end.push_back(todo.size());
       pending = 0;
     }
@@ -442,7 +474,7 @@ void TraceStore::seal_chunk() {
       [&](std::size_t t) {
         for (std::size_t i = t == 0 ? 0 : task_end[t - 1]; i < task_end[t];
              ++i) {
-          seal_lane(lanes_[todo[i]], work[t]);
+          seal_lane(lanes_[todo[i].lane], todo[i].stored, work[t]);
         }
       },
       /*grain=*/1);
@@ -457,7 +489,7 @@ void TraceStore::seal_chunk() {
   STAGG_AUDIT(audit());
 }
 
-void TraceStore::seal_lane(Lane& lane, SealWork& work) {
+void TraceStore::seal_lane(Lane& lane, std::size_t stored, SealWork& work) {
   // Horizon stickiness: an interval ending at or below the eviction
   // horizon can never be read by a legal window (views reaching below the
   // horizon are rejected), so sealing one — e.g. staged after an eviction
@@ -472,20 +504,21 @@ void TraceStore::seal_lane(Lane& lane, SealWork& work) {
   if (!lane.tail.empty()) {
     std::sort(lane.tail.begin(), lane.tail.end(), interval_key_less);
     const std::size_t cap =
-        chunk_cap(lane.stored + lane.tail.size(), compression_);
+        chunk_cap(stored + lane.tail.size(), compression_);
+    const std::uint64_t dropped = work.dropped;
     insert_run(lane, lane.tail, cap, work);
+    stored += lane.tail.size() - (work.dropped - dropped);
     lane.tail.clear();
     lane.tail.shrink_to_fit();
   }
-  if (lane.chunks.size() > lane_chunk_bound(lane.stored, compression_)) {
+  if (lane.chunks.size() > lane_chunk_bound(stored, compression_)) {
     lane.open = lane.chunks.size();
-    merge_suffix(lane, lane.open, chunk_cap(lane.stored, compression_), work);
+    merge_suffix(lane, lane.open, chunk_cap(stored, compression_), work);
   }
 }
 
 void TraceStore::insert_run(Lane& lane, std::span<const StateInterval> run,
                             std::size_t cap, SealWork& work) {
-  lane.stored += run.size();
   if (lane.open == 0 && run.size() >= cap) {
     // Nothing open to merge with: freeze the run straight into chunks.
     append_cut(lane, run.size(), cap, [run](std::size_t lo, std::size_t len) {
@@ -551,15 +584,16 @@ void TraceStore::merge_suffix(Lane& lane, std::size_t members,
   gather(std::span<const TraceChunkPtr>(first, lane.chunks.end()),
          evict_horizon_ != std::numeric_limits<TimeNs>::min(),
          evict_horizon_, out);
+  std::size_t merged = 0;
   for (auto it = first; it != lane.chunks.end(); ++it) {
     work.unlinked.push_back((*it)->payload());
-    lane.stored -= (*it)->size();
+    merged += (*it)->size();
   }
   lane.chunks.erase(first, lane.chunks.end());
   lane.open -= members;
   const std::size_t n = out.size();
   work.copies += n;
-  lane.stored += n;
+  work.dropped += merged - n;
   append_cut(lane, n, cap, [&out, n](std::size_t lo, std::size_t len) {
     const bool whole = lo == 0 && len == n;
     return std::make_shared<const TraceChunk>(
@@ -618,7 +652,6 @@ void TraceStore::evict_before(TimeNs cutoff) {
       TraceChunkPtr& c = lane.chunks[i];
       if (c->max_end() <= cutoff) {
         note_unlinked(c->payload().get());
-        lane.stored -= c->size();
         continue;
       }
       if (i >= open_from) ++lane.open;
@@ -667,7 +700,6 @@ void TraceStore::erase_before_exact(TimeNs cutoff) {
           }
         }
         note_unlinked(c->payload().get());
-        lane.stored -= c->size() - survivors.size();
         if (!survivors.empty()) {
           added = maybe_compress_into(TraceChunk::from_sorted(survivors),
                                       kept);
@@ -695,7 +727,9 @@ void TraceStore::set_window(TimeNs begin, TimeNs end) {
 
 std::uint64_t TraceStore::state_count() const noexcept {
   std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.stored + lane.tail.size();
+  for (const Lane& lane : lanes_) {
+    n += intervals_in(lane.chunks) + lane.tail.size();
+  }
   return n;
 }
 
@@ -728,7 +762,6 @@ void TraceStore::adopt_chunk(ResourceId r, TraceChunkPtr chunk) {
     throw InvalidArgument("adopt_chunk: null or empty chunk");
   }
   Lane& lane = lanes_[static_cast<std::size_t>(r)];
-  lane.stored += chunk->size();
   lane.chunks.push_back(std::move(chunk));
   lane.open = 0;
   sealed_ = false;
@@ -752,43 +785,49 @@ std::size_t TraceStore::spill_cold(std::size_t budget_bytes) {
     std::size_t index;
     TimeNs max_end;
   };
+  std::size_t resident = resident_chunk_bytes();
+  if (resident <= budget_bytes) return 0;
   std::vector<Candidate> candidates;
-  std::size_t resident = 0;
   for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
     const auto& chunks = lanes_[lane].chunks;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
-      if (!chunks[i]->resident()) continue;
-      resident += chunks[i]->stored_bytes();
-      candidates.push_back({lane, i, chunks[i]->max_end()});
+      if (chunks[i]->resident()) {
+        candidates.push_back({lane, i, chunks[i]->max_end()});
+      }
     }
   }
-  if (resident <= budget_bytes) return 0;
   // Coldest first: the fence max-end is the last instant a window can
   // still need the chunk, so ascending order is an LRU over trace time.
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
                      return a.max_end < b.max_end;
                    });
-  std::size_t spilled = 0;
+  // Pick the coldest chunks that bring the resident bytes under the
+  // budget, then write them in one append.
+  std::vector<SpillItem> items;
   for (const Candidate& cand : candidates) {
     if (resident <= budget_bytes) break;
-    TraceChunkPtr& slot = lanes_[cand.lane].chunks[cand.index];
-    SpilledChunkRecord rec =
-        spill_chunk_to_file(spill_path_, static_cast<ResourceId>(cand.lane),
-                            *slot, states_.size());
+    const TraceChunkPtr& slot = lanes_[cand.lane].chunks[cand.index];
+    items.push_back({static_cast<ResourceId>(cand.lane), slot.get()});
+    resident -= slot->stored_bytes();
+  }
+  std::vector<SpilledChunkRecord> records =
+      spill_chunks_to_file(spill_path_, items, states_.size());
+  // The freshly validated records' pages are hot but cold by definition
+  // (we just decided these chunks are the least-needed ones): hint the
+  // kernel to reclaim them first (the advice covers their shared
+  // mapping).
+  records.front().chunk->advise(MapAdvice::kDontNeed);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SpilledChunkRecord& rec = records[k];
     spill_records_.emplace(rec.chunk->payload().get(), rec.record_bytes);
     spill_live_bytes_ += rec.record_bytes;
-    // The freshly validated record's pages are hot but cold by definition
-    // (we just decided this chunk is the least-needed one): hint the
-    // kernel to reclaim them first.
-    rec.chunk->advise(MapAdvice::kDontNeed);
-    resident -= slot->stored_bytes();
-    slot = std::move(rec.chunk);
-    ++spilled;
+    lanes_[candidates[k].lane].chunks[candidates[k].index] =
+        std::move(rec.chunk);
   }
-  if (spilled != 0) ++generation_;
+  ++generation_;
   STAGG_AUDIT(audit());
-  return spilled;
+  return records.size();
 }
 
 std::size_t TraceStore::pin(ResourceId r) {
@@ -860,25 +899,30 @@ void TraceStore::compact_spill() {
   // pages alive as long as something maps them.
   const std::string tmp = spill_path_ + ".compact";
   std::remove(tmp.c_str());
-  std::unordered_map<const ChunkPayload*, std::size_t> rewritten;
-  std::size_t live = 0;
-  bool wrote = false;
+  std::vector<TraceChunkPtr*> slots;
+  std::vector<SpillItem> items;
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     for (TraceChunkPtr& slot : lanes_[r].chunks) {
       if (spill_records_.find(slot->payload().get()) ==
           spill_records_.end()) {
         continue;
       }
-      SpilledChunkRecord rec = spill_chunk_to_file(
-          tmp, static_cast<ResourceId>(r), *slot, states_.size());
-      rewritten.emplace(rec.chunk->payload().get(), rec.record_bytes);
-      live += rec.record_bytes;
-      rec.chunk->advise(MapAdvice::kDontNeed);
-      slot = std::move(rec.chunk);
-      wrote = true;
+      slots.push_back(&slot);
+      items.push_back({static_cast<ResourceId>(r), slot.get()});
     }
   }
-  if (wrote) {
+  std::vector<SpilledChunkRecord> records =
+      spill_chunks_to_file(tmp, items, states_.size());
+  std::unordered_map<const ChunkPayload*, std::size_t> rewritten;
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SpilledChunkRecord& rec = records[k];
+    rewritten.emplace(rec.chunk->payload().get(), rec.record_bytes);
+    live += rec.record_bytes;
+    *slots[k] = std::move(rec.chunk);
+  }
+  if (!records.empty()) {
+    slots.front()->get()->advise(MapAdvice::kDontNeed);
     if (std::rename(tmp.c_str(), spill_path_.c_str()) != 0) {
       throw IoError("cannot rename '" + tmp + "' to '" + spill_path_ + "'");
     }
@@ -924,13 +968,9 @@ void TraceStore::audit() const {
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     const Lane& lane = lanes_[r];
     const std::string where = "resource " + std::to_string(r);
-    std::size_t stored = 0;
-    for (const TraceChunkPtr& c : lane.chunks) stored += c ? c->size() : 0;
-    if (stored != lane.stored || lane.open > lane.chunks.size()) {
-      fail(where + " bookkeeping: " + std::to_string(stored) +
-           " intervals in " + std::to_string(lane.chunks.size()) +
-           " chunks, recorded " + std::to_string(lane.stored) + " with " +
-           std::to_string(lane.open) + " open");
+    if (lane.open > lane.chunks.size()) {
+      fail(where + " bookkeeping: " + std::to_string(lane.open) +
+           " open of " + std::to_string(lane.chunks.size()) + " chunks");
     }
     for (std::size_t ci = 0; ci < lane.chunks.size(); ++ci) {
       const TraceChunkPtr& c = lane.chunks[ci];
@@ -943,6 +983,7 @@ void TraceStore::audit() const {
       std::size_t n = 0;
       TimeNs min_end = std::numeric_limits<TimeNs>::max();
       TimeNs max_end = std::numeric_limits<TimeNs>::min();
+      TimeNs lead_max_end = std::numeric_limits<TimeNs>::min();
       StateInterval prev{};
       StateInterval last{};
       for (ChunkCursor cur(*c); cur.valid(); cur.next()) {
@@ -966,6 +1007,7 @@ void TraceStore::audit() const {
         }
         min_end = std::min(min_end, s.end);
         max_end = std::max(max_end, s.end);
+        if (n > 0) lead_max_end = std::max(lead_max_end, prev.end);
         prev = s;
         last = s;
         ++n;
@@ -983,6 +1025,11 @@ void TraceStore::audit() const {
              ", " + std::to_string(c->max_end()) +
              "] differ from the streamed [" + std::to_string(min_end) +
              ", " + std::to_string(max_end) + "]");
+      }
+      if (c->lead_max_end() != lead_max_end) {
+        fail(chunk_where + " lead fence " +
+             std::to_string(c->lead_max_end()) + " differs from the streamed " +
+             std::to_string(lead_max_end));
       }
       // Horizon stickiness: seal, evict and compaction all drop what no
       // legal window can read, so a linked chunk's fence clears the

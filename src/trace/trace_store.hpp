@@ -285,10 +285,11 @@ class TraceChunk {
   /// Wraps an externally validated payload of any backend, with the
   /// boundary intervals and end fences supplied (a compressed payload
   /// cannot derive them by indexing).  `first`/`last` are the first and
-  /// last intervals of the sorted run; validation or the encoder scan
-  /// provides them.
+  /// last intervals of the sorted run and `lead_max_end` the lead fence
+  /// (see lead_max_end()); validation or the encoder scan provides them.
   TraceChunk(std::shared_ptr<const ChunkPayload> payload, StateInterval first,
-             StateInterval last, TimeNs min_end, TimeNs max_end);
+             StateInterval last, TimeNs min_end, TimeNs max_end,
+             TimeNs lead_max_end);
 
   /// Freezes a sorted row-major run (the seal path).
   [[nodiscard]] static std::shared_ptr<const TraceChunk> from_sorted(
@@ -318,6 +319,14 @@ class TraceChunk {
   [[nodiscard]] TimeNs min_begin() const noexcept { return first_.begin; }
   [[nodiscard]] TimeNs min_end() const noexcept { return min_end_; }
   [[nodiscard]] TimeNs max_end() const noexcept { return max_end_; }
+  /// Lead fence: the highest end among all intervals but the last (the
+  /// TimeNs minimum for a one-interval chunk).  When it is at or before a
+  /// window's begin, last() is the only interval that can overlap the
+  /// window — the straddler at the end of an in-order chunk — and views
+  /// read it without streaming the chunk.
+  [[nodiscard]] TimeNs lead_max_end() const noexcept {
+    return lead_max_end_;
+  }
 
   /// Payload bytes of the three columns (logical size, backend-independent).
   [[nodiscard]] std::size_t bytes() const noexcept {
@@ -364,6 +373,7 @@ class TraceChunk {
   StateInterval last_{};
   TimeNs min_end_ = 0;
   TimeNs max_end_ = 0;
+  TimeNs lead_max_end_ = std::numeric_limits<TimeNs>::min();
 };
 
 using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
@@ -529,7 +539,8 @@ class TraceStore {
   ///
   /// Only lanes with a staged tail, or with more chunks than
   /// lane_chunk_bound() (adopted chunks), are visited, in pool tasks of
-  /// about kSealTaskIntervals staged intervals.  A lane over the bound is
+  /// about kSealTaskIntervals staged intervals (kSealTaskEncodedIntervals
+  /// under kAuto).  A lane over the bound is
   /// rewritten whole into cap-sized chunks; a growing raw lane reaches the
   /// bound only after its stored count has grown severalfold, so the
   /// rewrite adds O(1) copies per interval.
@@ -649,8 +660,9 @@ class TraceStore {
   /// Spills the coldest resident sealed chunks — ascending fence max-end,
   /// an LRU over trace time, so data below or just above the oldest live
   /// window goes first — until resident_chunk_bytes() <= budget_bytes or
-  /// no resident chunk is left.  Each spilled chunk is appended to the
-  /// spill file and its lane slot swapped to a file-backed (mmap) payload;
+  /// no resident chunk is left.  The spilled chunks are appended to the
+  /// spill file in one write and mapped back as one region, and each
+  /// lane slot is swapped to a file-backed (mmap) payload;
   /// outstanding views keep streaming the old resident chunk they pinned.
   /// Returns the number of chunks spilled.  Throws InvalidArgument when
   /// spill is not enabled.
@@ -726,6 +738,10 @@ class TraceStore {
   static constexpr std::size_t kMinRawCap = 32;
   /// seal_chunk() hands the pool one task per this many staged intervals.
   static constexpr std::size_t kSealTaskIntervals = 2048;
+  /// The same under kAuto, where every frozen or merged run is also
+  /// encoded: a staged interval costs several times the raw seal work, so
+  /// a seal of a few hundred intervals still fans out across the pool.
+  static constexpr std::size_t kSealTaskEncodedIntervals = 128;
 
   /// Largest chunk a merge writes for a lane of `stored` intervals:
   /// kCompressedBlockIntervals under kAuto, else
@@ -745,16 +761,17 @@ class TraceStore {
     std::vector<StateInterval> tail;
     /// The newest `open` chunks may still merge; the rest are closed.
     std::size_t open = 0;
-    /// Intervals held by `chunks`.
-    std::size_t stored = 0;
   };
   /// What one seal task hands back for the serial fold-in.
   struct SealWork {
     std::vector<std::shared_ptr<const ChunkPayload>> unlinked;
     std::uint64_t copies = 0;
+    /// Intervals merges dropped at or below the eviction horizon.
+    std::uint64_t dropped = 0;
   };
 
-  void seal_lane(Lane& lane, SealWork& work);
+  /// Seals one lane holding `stored` intervals in its chunks.
+  void seal_lane(Lane& lane, std::size_t stored, SealWork& work);
   /// Appends a sorted run (a freshly frozen tail) to the open suffix and
   /// restores the tier shape (see seal_chunk).
   void insert_run(Lane& lane, std::span<const StateInterval> run,

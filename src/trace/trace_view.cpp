@@ -125,17 +125,36 @@ void TraceView::select_runs() {
     for (const TraceChunkPtr& chunk : chunks_of(r)) {
       // Fence test: can any interval of this chunk overlap [t0, t1)?
       if (chunk->min_begin() >= t1_ || chunk->max_end() <= t0_) continue;
-      // Begins are sorted: entries with begin >= t1 are a prunable suffix.
       Run run{chunk, 0, chunk->first(), chunk->first(), 0};
-      run.size = chunk->prefix_below(t1_, &run.last);
-      if (run.size == 0) continue;
-      if (!chunk->resident()) {
+      if (chunk->lead_max_end() <= t0_) {
+        // Lead fence: only the last interval (which ends past t0) can.
+        if (chunk->last().begin >= t1_) continue;
+        run.size = 1;
+        run.first = run.last = chunk->last();
+        run.last_only = true;
+      } else if (!chunk->addressable() && chunk->last().begin >= t1_) {
+        // A compressed chunk reaching past t1: finding its prefix would
+        // decode it once here and again in for_each, so the cursor stops
+        // at the first begin >= t1 instead (min_begin < t1, so the prefix
+        // is not empty).
+        run.size = chunk->size();
+        run.last = chunk->last();
+        run.to_t1 = true;
+      } else {
+        // Begins are sorted: entries with begin >= t1 are a prunable
+        // suffix.
+        run.size = chunk->prefix_below(t1_, &run.last);
+        if (run.size == 0) continue;
+      }
+      if (!chunk->resident() && !run.last_only) {
         // The cursors read this file-backed run front-to-back, starting
         // now: tell the pager.
         chunk->advise(MapAdvice::kSequential);
         chunk->advise(MapAdvice::kWillNeed);
       }
       if (!chunk->addressable()) {
+        // A last-only run holds no cursor on the concatenation path but
+        // streams its chunk on the merge path (see for_each).
         run.scratch = ChunkCursor(*chunk, 1).scratch_bytes();
       }
       runs.push_back(std::move(run));

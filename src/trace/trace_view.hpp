@@ -17,6 +17,10 @@
 // Entries whose begin lies at or past t1 are pruned per run (begins are
 // sorted); entries ending at or before t0 are delivered and clip to
 // nothing in the fold — pruning is an optimization, never a semantic.
+// One such pruning reads the chunks' lead fence: when every interval of a
+// chunk but its last ends at or before t0 (an in-order chunk whose last
+// interval straddles into the window), its run is that last interval
+// alone, served from the chunk's cache without streaming the columns.
 //
 // Storage backends: selection *pins* every chunk it keeps — the shared_ptr
 // holds the chunk's payload, and a file-backed (spilled) payload holds its
@@ -110,8 +114,10 @@ class TraceView {
     return store_;
   }
 
-  /// Number of intervals the cursors will deliver (upper bound on the
-  /// window's population: per-run begin-pruned, not end-filtered).
+  /// Number of intervals selected for delivery (upper bound on the
+  /// window's population: per-run begin-pruned, not end-filtered; a
+  /// compressed run reaching past t1 counts whole, its cursor stopping at
+  /// the first begin >= t1).
   [[nodiscard]] std::uint64_t selected_count() const noexcept;
 
   /// Number of selected runs whose chunk is file-backed (spilled) rather
@@ -140,28 +146,39 @@ class TraceView {
       // cursor (one decoder live at a time).
       for (const Run& run : runs) {
         const TraceChunk& chunk = *run.chunk;
-        if (chunk.addressable()) {
-          const TimeNs* begins = chunk.begins().data();
-          const TimeNs* ends = chunk.ends().data();
-          const StateId* states = chunk.states().data();
+        if (run.last_only || chunk.addressable()) {
+          // A last-only run reads its one interval from the run itself,
+          // through the same loop (one call site keeps `f` inlined once).
+          const TimeNs* begins =
+              run.last_only ? &run.last.begin : chunk.begins().data();
+          const TimeNs* ends =
+              run.last_only ? &run.last.end : chunk.ends().data();
+          const StateId* states =
+              run.last_only ? &run.last.state : chunk.states().data();
           for (std::size_t i = 0; i < run.size; ++i) {
             f(StateInterval{begins[i], ends[i], states[i]});
           }
           continue;
         }
         for (ChunkCursor c(chunk, run.size); c.valid(); c.next()) {
+          if (run.to_t1 && c.current().begin >= t1_) break;
           f(c.current());
         }
       }
       return;
     }
     // Overlapping runs: the canonical k-way merge (k is bounded by the
-    // store's compaction threshold, and this path only triggers for
-    // genuinely out-of-order ingest).
+    // store's per-lane chunk bound, and this path only triggers for
+    // genuinely out-of-order ingest).  A last-only run merges as its
+    // whole chunk: every begin lies below t1, and the rest clips to
+    // nothing.  A to_t1 run merges its exact prefix.
     std::vector<ChunkRun> merge_runs;
     merge_runs.reserve(runs.size());
     for (const Run& run : runs) {
-      merge_runs.push_back({run.chunk.get(), run.size});
+      std::size_t size = run.size;
+      if (run.last_only) size = run.chunk->size();
+      if (run.to_t1) size = run.chunk->prefix_below(t1_, nullptr);
+      merge_runs.push_back({run.chunk.get(), size});
     }
     merge_chunk_runs(std::span<const ChunkRun>(merge_runs),
                      std::forward<F>(f));
@@ -171,13 +188,18 @@ class TraceView {
   /// Selected prefix [0, size) of one pinned chunk, with its boundary
   /// intervals (recorded at selection so the concatenation check never
   /// re-decodes compressed chunks) and the cursor scratch one streaming
-  /// pass over it holds.
+  /// pass over it holds.  A `last_only` run is the chunk's cached last
+  /// interval alone (size 1; see the lead fence above).  A `to_t1` run is
+  /// a whole compressed chunk whose cursor stops at the first begin >= t1
+  /// (`last` is then the chunk's last, an upper bound of the prefix's).
   struct Run {
     TraceChunkPtr chunk;
     std::size_t size = 0;
     StateInterval first{};
     StateInterval last{};
     std::size_t scratch = 0;
+    bool last_only = false;
+    bool to_t1 = false;
   };
 
   void init(std::span<const ResourceId> scope,

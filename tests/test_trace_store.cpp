@@ -392,6 +392,60 @@ TEST(TraceStoreCompaction, NewestSliceViewSelectsOnlyItsChunks) {
   }
 }
 
+TEST(TraceView, LeadFenceAndT1StopDeliverExactlyTheWindow) {
+  // One lane of back-to-back 10 ns intervals, sealed in in-order rounds
+  // of 10.  Every chunk's last interval is the only one that can reach
+  // past its last begin, so a window starting after a chunk's lead fence
+  // reads that chunk's last interval off the fence instead of streaming
+  // the chunk, and a compressed chunk reaching past t1 stops its cursor
+  // at t1.  Either way the delivered stream is sorted, holds every
+  // interval that overlaps the window and none beginning at or past t1.
+  for (const ChunkCompression policy :
+       {ChunkCompression::kNone, ChunkCompression::kAuto}) {
+    const char* label = policy == ChunkCompression::kAuto ? "kAuto" : "raw";
+    auto store = std::make_shared<TraceStore>();
+    const ResourceId r = store->add_resource("r");
+    const StateId a = store->states().intern("a");
+    const StateId b = store->states().intern("b");
+    store->set_compression(policy);
+    for (int round = 0; round < 10; ++round) {
+      for (int k = 0; k < 10; ++k) {
+        const TimeNs begin = 10 * (10 * round + k);
+        store->add_state(r, k % 3 == 0 ? a : b, begin, begin + 10);
+      }
+      store->seal_chunk();
+    }
+    store->audit();
+    for (const TimeNs t0 : {TimeNs{0}, TimeNs{55}, TimeNs{95}, TimeNs{500},
+                            TimeNs{995}}) {
+      for (const TimeNs t1 : {t0 + 5, t0 + 50, TimeNs{1000}}) {
+        const TraceView view(store, t0, t1);
+        std::vector<StateInterval> got;
+        view.for_each(0, [&](const StateInterval& s) { got.push_back(s); });
+        std::vector<StateInterval> overlapping;
+        for (const StateInterval& s : got) {
+          EXPECT_LT(s.begin, t1) << label << " [" << t0 << ", " << t1 << ")";
+          if (s.end > t0) overlapping.push_back(s);
+        }
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), interval_key_less))
+            << label;
+        const TimeNs first = t0 / 10 * 10;
+        ASSERT_EQ(overlapping.size(),
+                  static_cast<std::size_t>((std::min<TimeNs>(t1, 1000) -
+                                            first + 9) / 10))
+            << label << " [" << t0 << ", " << t1 << ")";
+        for (std::size_t k = 0; k < overlapping.size(); ++k) {
+          EXPECT_EQ(overlapping[k].begin,
+                    first + 10 * static_cast<TimeNs>(k))
+              << label;
+        }
+      }
+    }
+    // Only the newest chunk reaches 995, and only by its last interval.
+    EXPECT_EQ(TraceView(store, 995, 1000).selected_count(), 1u) << label;
+  }
+}
+
 TEST(TraceStore, OutstandingViewsSurviveEvictionAndCompaction) {
   auto store = std::make_shared<TraceStore>();
   const ResourceId r = store->add_resource("r");
