@@ -1,5 +1,6 @@
 // Fuzz harness: the on-disk open paths — STGT traces, STGC chunk files
-// (v1 + v2) and, through the same record validator, STGSPL spill records.
+// (v2; the retired v1 magic must be rejected) and, through the same record
+// validator, STGSPL spill records.
 //
 // Contract under test: opening ANY byte blob as a trace/chunk file either
 // succeeds (and then every chunk streams cleanly — open validated it) or

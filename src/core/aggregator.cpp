@@ -118,7 +118,6 @@ void SpatiotemporalAggregator::check_budget(std::size_t lanes) const {
 
 std::size_t SpatiotemporalAggregator::lane_width(
     std::size_t probe_count) const noexcept {
-  if (options_.kernel == DpKernel::kCachedSolo) return 1;
   return std::min({options_.max_lanes, kMaxDpLanes,
                    std::max<std::size_t>(probe_count, 1)});
 }
@@ -248,7 +247,7 @@ SpatiotemporalAggregator::LaneScan SpatiotemporalAggregator::make_scan(
   return scan;
 }
 
-template <int W, bool Filtered, bool Vec>
+template <int W, bool Vec>
 void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
                                                   SliceId i,
                                                   SliceId j) const noexcept {
@@ -343,25 +342,21 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   // the column-major mirror where column j is contiguous — with the lane
   // interleave both are flat W-wide streams.
   //
-  // Screened scan (Filtered, the production kernel): each lane keeps the
-  // two bounds of the candidate screen (header comment) for its current
-  // (best, count) state.  The hot loop over cut positions is a bare
-  // add-and-compare against the loose floor per lane; only a cut above some
-  // lane's floor loads its area counts for the full screen, and only lanes
-  // passing that run the exact reference predicate (same cut order, same
-  // operations — bit-identical).  The screen never drops a state-changing
-  // candidate.  The W lanes' independent compare chains are what the
-  // batching buys: one pass over the streams feeds W superscalar-parallel
-  // per-lane pipelines, where the solo kernel re-walked the streams per
-  // probe.  With Filtered = false (kCachedSolo, the PR 1 formulation)
-  // every cut evaluates the reference predicate directly.
-  double loose_thr[Filtered ? W : 1];
-  double strict_thr[Filtered ? W : 1];
-  if constexpr (Filtered) {
-    for (int w = 0; w < W; ++w) {
-      loose_thr[w] = detail::screen_floor(best[w]);
-      strict_thr[w] = detail::screen_strict(best[w]);
-    }
+  // Screened scan: each lane keeps the two bounds of the candidate screen
+  // (header comment) for its current (best, count) state.  The hot loop
+  // over cut positions is a bare add-and-compare against the loose floor
+  // per lane; only a cut above some lane's floor loads its area counts for
+  // the full screen, and only lanes passing that run the exact reference
+  // predicate (same cut order, same operations — bit-identical).  The
+  // screen never drops a state-changing candidate.  The W lanes'
+  // independent compare chains are what the batching buys: one pass over
+  // the streams feeds W superscalar-parallel per-lane pipelines, where a
+  // one-lane sweep re-walks the streams per probe.
+  double loose_thr[W];
+  double strict_thr[W];
+  for (int w = 0; w < W; ++w) {
+    loose_thr[w] = detail::screen_floor(best[w]);
+    strict_thr[w] = detail::screen_strict(best[w]);
   }
   const double* left = scan.pic + row * W;
   const double* right =
@@ -378,69 +373,60 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
     best[w] = std::max(best[w], v);
     best_cut[w] = i + k;
     best_count[w] = count;
-    if constexpr (Filtered) {
-      loose_thr[w] = detail::screen_floor(best[w]);
-      strict_thr[w] = detail::screen_strict(best[w]);
-    }
+    loose_thr[w] = detail::screen_floor(best[w]);
+    strict_thr[w] = detail::screen_strict(best[w]);
   };
 
   for (std::int32_t k = 0; k < len; ++k) {
     const std::size_t at = static_cast<std::size_t>(k) * W;
-    if constexpr (Filtered) {
-      // Branch-free W-wide screen: candidate values and screen masks for
-      // the whole wave are computed before any lane's challenge runs (the
-      // adds and compares vectorize over the lane-interleaved pIC and
-      // count streams).  A lane's challenge can only move its own bounds,
-      // and each lane is screened against its state before cut k — so
-      // hoisting the compares never changes which cuts are evaluated.
-      // The vector masks match the scalar compares exactly (ordered,
-      // quiet-NaN false; signed int32), so pass/fail decisions are
-      // identical in both twins.
-      double v[W];
-      int loose = 0;
-      if constexpr (kVec) {
-        for (int w = 0; w < W; w += 4) {
-          const simd::f64x4 vv = simd::f64x4::load(left + at + w) +
-                                 simd::f64x4::load(right + at + w);
-          vv.store(v + w);
-          loose |= vv.ge_mask(simd::f64x4::load(loose_thr + w)) << w;
-        }
-      } else {
-        for (int w = 0; w < W; ++w) {
-          v[w] = left[at + w] + right[at + w];
-          loose |= static_cast<int>(v[w] >= loose_thr[w]) << w;
-        }
-      }
-      if (loose == 0) continue;
-      std::int32_t count[W];
-      int pass = 0;
-      if constexpr (kVec) {
-        for (int w = 0; w < W; w += 4) {
-          const simd::i32x4 cc = simd::i32x4::load(left_cnt + at + w) +
-                                 simd::i32x4::load(right_cnt + at + w);
-          cc.store(count + w);
-          const int fewer = cc.lt_mask(simd::i32x4::load(best_count + w));
-          const int above = simd::f64x4::load(v + w).ge_mask(
-              simd::f64x4::load(strict_thr + w));
-          pass |= (above | (fewer & (loose >> w))) << w;
-        }
-      } else {
-        for (int w = 0; w < W; ++w) {
-          count[w] = left_cnt[at + w] + right_cnt[at + w];
-          pass |= static_cast<int>(v[w] >= strict_thr[w] ||
-                                   (v[w] >= loose_thr[w] &&
-                                    count[w] < best_count[w]))
-                  << w;
-        }
-      }
-      for (int w = 0; w < W; ++w) {
-        if (((pass >> w) & 1) != 0) challenge(k, w, v[w], count[w]);
+    // Branch-free W-wide screen: candidate values and screen masks for
+    // the whole wave are computed before any lane's challenge runs (the
+    // adds and compares vectorize over the lane-interleaved pIC and
+    // count streams).  A lane's challenge can only move its own bounds,
+    // and each lane is screened against its state before cut k — so
+    // hoisting the compares never changes which cuts are evaluated.
+    // The vector masks match the scalar compares exactly (ordered,
+    // quiet-NaN false; signed int32), so pass/fail decisions are
+    // identical in both twins.
+    double v[W];
+    int loose = 0;
+    if constexpr (kVec) {
+      for (int w = 0; w < W; w += 4) {
+        const simd::f64x4 vv = simd::f64x4::load(left + at + w) +
+                               simd::f64x4::load(right + at + w);
+        vv.store(v + w);
+        loose |= vv.ge_mask(simd::f64x4::load(loose_thr + w)) << w;
       }
     } else {
       for (int w = 0; w < W; ++w) {
-        challenge(k, w, left[at + w] + right[at + w],
-                  left_cnt[at + w] + right_cnt[at + w]);
+        v[w] = left[at + w] + right[at + w];
+        loose |= static_cast<int>(v[w] >= loose_thr[w]) << w;
       }
+    }
+    if (loose == 0) continue;
+    std::int32_t count[W];
+    int pass = 0;
+    if constexpr (kVec) {
+      for (int w = 0; w < W; w += 4) {
+        const simd::i32x4 cc = simd::i32x4::load(left_cnt + at + w) +
+                               simd::i32x4::load(right_cnt + at + w);
+        cc.store(count + w);
+        const int fewer = cc.lt_mask(simd::i32x4::load(best_count + w));
+        const int above = simd::f64x4::load(v + w).ge_mask(
+            simd::f64x4::load(strict_thr + w));
+        pass |= (above | (fewer & (loose >> w))) << w;
+      }
+    } else {
+      for (int w = 0; w < W; ++w) {
+        count[w] = left_cnt[at + w] + right_cnt[at + w];
+        pass |= static_cast<int>(v[w] >= strict_thr[w] ||
+                                 (v[w] >= loose_thr[w] &&
+                                  count[w] < best_count[w]))
+                << w;
+      }
+    }
+    for (int w = 0; w < W; ++w) {
+      if (((pass >> w) & 1) != 0) challenge(k, w, v[w], count[w]);
     }
   }
 
@@ -475,7 +461,7 @@ void SpatiotemporalAggregator::compute_cell_lanes(const LaneScan& scan,
   }
 }
 
-template <int W, bool Filtered, bool Vec>
+template <int W, bool Vec>
 void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
                                                     SliceId first_dirty) {
   // i descending / j ascending: a cell (i, j) reads (i, c) with c < j (this
@@ -486,7 +472,7 @@ void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
   const SliceId n_t = tri_.slices();
   for (SliceId i = n_t - 1; i >= 0; --i) {
     for (SliceId j = std::max(i, first_dirty); j < n_t; ++j) {
-      compute_cell_lanes<W, Filtered, Vec>(scan, i, j);
+      compute_cell_lanes<W, Vec>(scan, i, j);
     }
   }
 }
@@ -494,31 +480,26 @@ void SpatiotemporalAggregator::compute_node_lanes_w(const LaneScan& scan,
 void SpatiotemporalAggregator::compute_node_lanes(const LaneScan& scan,
                                                   SliceId first_dirty) {
   // One instantiation per width keeps the per-cell lane loops at a
-  // compile-time trip count the optimizer can unroll.  kCachedSolo (the
-  // PR 1 kernel) always runs width 1, unfiltered.
-  if (options_.kernel == DpKernel::kCachedSolo) {
-    compute_node_lanes_w<1, false, false>(scan, first_dirty);
-    return;
-  }
-  // Vector instantiations exist only at the widths divisible by the f64x4
+  // compile-time trip count the optimizer can unroll.  Vector
+  // instantiations exist only at the widths divisible by the f64x4
   // lane count; use_simd = false (or a scalar-forced build, where the
   // wrappers alias their scalar twins) routes those widths to the scalar
   // twin — the baseline bench_simd measures against.
   const bool vec = options_.use_simd;
   switch (scan.lanes) {
-    case 1: compute_node_lanes_w<1, true, false>(scan, first_dirty); break;
-    case 2: compute_node_lanes_w<2, true, false>(scan, first_dirty); break;
-    case 3: compute_node_lanes_w<3, true, false>(scan, first_dirty); break;
+    case 1: compute_node_lanes_w<1, false>(scan, first_dirty); break;
+    case 2: compute_node_lanes_w<2, false>(scan, first_dirty); break;
+    case 3: compute_node_lanes_w<3, false>(scan, first_dirty); break;
     case 4:
-      if (vec) compute_node_lanes_w<4, true, true>(scan, first_dirty);
-      else compute_node_lanes_w<4, true, false>(scan, first_dirty);
+      if (vec) compute_node_lanes_w<4, true>(scan, first_dirty);
+      else compute_node_lanes_w<4, false>(scan, first_dirty);
       break;
-    case 5: compute_node_lanes_w<5, true, false>(scan, first_dirty); break;
-    case 6: compute_node_lanes_w<6, true, false>(scan, first_dirty); break;
-    case 7: compute_node_lanes_w<7, true, false>(scan, first_dirty); break;
+    case 5: compute_node_lanes_w<5, false>(scan, first_dirty); break;
+    case 6: compute_node_lanes_w<6, false>(scan, first_dirty); break;
+    case 7: compute_node_lanes_w<7, false>(scan, first_dirty); break;
     case 8:
-      if (vec) compute_node_lanes_w<8, true, true>(scan, first_dirty);
-      else compute_node_lanes_w<8, true, false>(scan, first_dirty);
+      if (vec) compute_node_lanes_w<8, true>(scan, first_dirty);
+      else compute_node_lanes_w<8, false>(scan, first_dirty);
       break;
     default: break;  // unreachable: lane_width clamps to kMaxDpLanes
   }

@@ -38,8 +38,8 @@
 // (gain, loss) cell and the cut-candidate streams feeds W independent
 // per-lane compare chains (superscalar-parallel, with a per-lane candidate
 // screen keeping the epsilon tie-break arithmetic off the hot path) where
-// the solo kernel re-walked the streams and re-derived the epsilon bounds
-// once per probe.
+// a one-lane sweep per probe re-walks the streams and re-derives the
+// epsilon bounds once per probe.
 //
 // Candidate screen: a temporal cut v with area count `count` can only
 // change a lane's state (best, best_count) if
@@ -67,7 +67,7 @@
 // identical in partition to a solo DpKernel::kReference run at that p —
 // regardless of lane width, wave grouping, duplicate parameters, or arena
 // reuse.  tests/test_measure_cache.cpp asserts this with EXPECT_EQ on
-// doubles across W ∈ {1, 4, 8} and the solo kernel.
+// doubles across W ∈ {1, 4, 8}.
 //
 // The DP buffers are pooled and reused between runs and waves (no per-run
 // allocation); the kernel keeps a column-major mirror of each node's pIC
@@ -95,17 +95,12 @@
 namespace stagg {
 
 /// DP kernel selection.  kCached is the production kernel (MeasureCache +
-/// lane batching + screened candidate scan + pooled buffers).
-/// kCachedSolo is the previous generation (measure cache, one probe per DP
-/// sweep, per-cut epsilon evaluation), kept as the lane-batching bench
-/// baseline and a fast second equivalence oracle.  kReference recomputes
-/// every cell's measures from the cube and frees its buffers after each
-/// run — the original per-cell formulation and the primary
-/// equivalence-test oracle.  All three produce bit-identical pIC values
-/// and identical partitions.
+/// lane batching + screened candidate scan + pooled buffers).  kReference
+/// recomputes every cell's measures from the cube and frees its buffers
+/// after each run — the original per-cell formulation and the equivalence
+/// oracle.  Both produce bit-identical pIC values and identical partitions.
 enum class DpKernel : std::uint8_t {
   kCached,
-  kCachedSolo,
   kReference,
 };
 
@@ -468,20 +463,19 @@ class SpatiotemporalAggregator {
                    double gain_scale, double loss_scale, SliceId first_dirty,
                    bool store_cuts);
 
-  /// Filtered = false drops the candidate screen and evaluates the
-  /// reference predicate at every cut — the kCachedSolo
-  /// (PR 1) formulation.  Vec = true (lane widths divisible by 4 only,
-  /// selected by options_.use_simd) routes the across-lane batches — the
-  /// no-cut multiply-add, the spatial child fold, the temporal screen and
-  /// the writeback — through the simd.hpp wrappers; Vec = false is the
-  /// always-instantiated scalar twin, bit-identical by the across-chains
-  /// vectorization rule.
-  template <int W, bool Filtered, bool Vec>
+  /// One cell of a W-lane wave: the no-cut term, the spatial cut and the
+  /// screened temporal-cut scan (header comment).  Vec = true (lane widths
+  /// divisible by 4 only, selected by options_.use_simd) routes the
+  /// across-lane batches — the no-cut multiply-add, the spatial child
+  /// fold, the temporal screen and the writeback — through the simd.hpp
+  /// wrappers; Vec = false is the always-instantiated scalar twin,
+  /// bit-identical by the across-chains vectorization rule.
+  template <int W, bool Vec>
   void compute_cell_lanes(const LaneScan& scan, SliceId i,
                           SliceId j) const noexcept;
   /// Sweeps the cells with j >= first_dirty (0 = the full triangle) in a
   /// dependency-respecting order.
-  template <int W, bool Filtered, bool Vec>
+  template <int W, bool Vec>
   void compute_node_lanes_w(const LaneScan& scan, SliceId first_dirty);
   void compute_node_lanes(const LaneScan& scan, SliceId first_dirty);
   void compute_node_reference(NodeId node, double p, double gain_scale,

@@ -19,16 +19,12 @@ namespace stagg {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'G', 'T', 'R', 'C', '0', '1'};
-constexpr char kChunkMagicV1[8] = {'S', 'T', 'G', 'C', 'H', 'K', '0', '1'};
 constexpr char kChunkMagic[8] = {'S', 'T', 'G', 'C', 'H', 'K', '0', '2'};
 constexpr char kSpillMagic[8] = {'S', 'T', 'G', 'S', 'P', 'L', '0', '2'};
 constexpr std::size_t kRecordBytes = 4 + 4 + 8 + 8;
 static_assert(kRecordBytes == StgtRecordDecoder::kRecordBytes,
               "STGT record framing is shared with the resumable decoder");
-/// v1 chunk record header: u32 resource | u32 reserved | u64 count |
-/// i64 min_end | i64 max_end | u64 checksum.  40 bytes, 8-aligned.
-constexpr std::size_t kChunkHeaderBytesV1 = 40;
-/// v2 chunk record header: u32 resource | u8 begin_codec | u8 end_codec |
+/// Chunk record header: u32 resource | u8 begin_codec | u8 end_codec |
 /// u8 state_codec | u8 flags | u64 count | i64 min_begin | i64 min_end |
 /// i64 max_end | u64 begin_bytes | u64 end_bytes | u64 state_bytes |
 /// u64 checksum.  72 bytes, 8-aligned.
@@ -180,26 +176,7 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 
 constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 
-/// Column checksum: FNV-1a 64 over the raw begin, end then state bytes
-/// (padding excluded).
-std::uint64_t chunk_checksum(std::span<const TimeNs> begins,
-                             std::span<const TimeNs> ends,
-                             std::span<const StateId> states) {
-  std::uint64_t h = kFnvOffsetBasis;
-  h = fnv1a(begins.data(), begins.size_bytes(), h);
-  h = fnv1a(ends.data(), ends.size_bytes(), h);
-  h = fnv1a(states.data(), states.size_bytes(), h);
-  return h;
-}
-
-/// Total on-disk bytes of one v1 chunk record (header + columns + pad).
-std::size_t chunk_record_bytes_v1(std::uint64_t count) {
-  const std::uint64_t states_padded = pad8(count * 4);
-  return static_cast<std::size_t>(kChunkHeaderBytesV1 + count * 16 +
-                                  states_padded);
-}
-
-/// The codec tags and raw section bytes a v2 record stores for one chunk:
+/// The codec tags and raw section bytes a record stores for one chunk:
 /// the raw columns of an addressable chunk, the encoded blocks of a
 /// compressed one — records preserve the chunk's in-memory encoding,
 /// never re-encode.
@@ -238,8 +215,8 @@ ChunkSections chunk_sections(const TraceChunk& chunk) {
   return s;
 }
 
-/// Total on-disk bytes of one v2 chunk record.
-std::uint64_t chunk_record_bytes_v2(std::uint64_t begin_bytes,
+/// Total on-disk bytes of one chunk record.
+std::uint64_t chunk_record_bytes(std::uint64_t begin_bytes,
                                     std::uint64_t end_bytes,
                                     std::uint64_t state_bytes) {
   return kChunkHeaderBytes + pad8(begin_bytes) + pad8(end_bytes) +
@@ -292,103 +269,13 @@ struct MappedChunkRecord {
   std::size_t record_bytes = 0;
 };
 
-/// Validates and maps one *v1* chunk record at `pos` inside `region`
-/// (whose data() starts at `region_file_offset` in the file) and wraps it
-/// into a file-backed chunk.  Rejects truncated payloads, checksum
-/// mismatches, unsorted columns, out-of-table state ids (`state_count`
-/// entries) and lying fences loudly — every error names the record's
-/// file offset.
-MappedChunkRecord map_chunk_record_v1(
-    const std::shared_ptr<const MappedRegion>& region, std::size_t pos,
-    std::uint64_t region_file_offset, const std::string& path,
-    std::uint64_t state_count) {
-  const std::uint64_t file_offset = region_file_offset + pos;
-  const auto offset_str = " in '" + path + "' at offset " +
-                          std::to_string(file_offset);
-  const std::uint8_t* base = region->data();
-  const std::size_t avail = region->size();
-  if (pos + kChunkHeaderBytesV1 > avail) {
-    throw TraceFormatError("truncated chunk header" + offset_str);
-  }
-  std::uint32_t ur = 0;
-  std::uint64_t count = 0;
-  TimeNs min_end = 0;
-  TimeNs max_end = 0;
-  std::uint64_t checksum = 0;
-  std::memcpy(&ur, base + pos, 4);
-  std::memcpy(&count, base + pos + 8, 8);
-  std::memcpy(&min_end, base + pos + 16, 8);
-  std::memcpy(&max_end, base + pos + 24, 8);
-  std::memcpy(&checksum, base + pos + 32, 8);
-  if (count == 0) {
-    throw TraceFormatError("empty chunk record" + offset_str);
-  }
-  // Guard the size arithmetic before computing record_bytes: a huge count
-  // must read as truncation, not overflow into a small number.
-  if (count > (avail - pos) / 16) {
-    throw TraceFormatError("truncated chunk payload" + offset_str +
-                           " (count " + std::to_string(count) +
-                           " exceeds the file)");
-  }
-  const std::size_t record_bytes = chunk_record_bytes_v1(count);
-  if (pos + record_bytes > avail) {
-    throw TraceFormatError("truncated chunk payload" + offset_str);
-  }
-  const auto n = static_cast<std::size_t>(count);
-  const auto* begins =
-      reinterpret_cast<const TimeNs*>(base + pos + kChunkHeaderBytesV1);
-  const auto* ends = begins + n;
-  const auto* states = reinterpret_cast<const StateId*>(ends + n);
-  const std::span<const TimeNs> begin_col(begins, n);
-  const std::span<const TimeNs> end_col(ends, n);
-  const std::span<const StateId> state_col(states, n);
-  const std::uint64_t computed = chunk_checksum(begin_col, end_col, state_col);
-  if (computed != checksum) {
-    throw TraceFormatError(
-        "chunk checksum mismatch" + offset_str + " (stored " +
-        std::to_string(checksum) + ", computed " + std::to_string(computed) +
-        ")");
-  }
-  // One pass re-deriving what the merge cursors rely on: total-key sort
-  // order and true end fences.
-  TimeNs seen_min_end = end_col[0];
-  TimeNs seen_max_end = end_col[0];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (end_col[i] < begin_col[i]) {
-      throw TraceFormatError("chunk interval with end < begin" + offset_str);
-    }
-    if (state_col[i] < 0 ||
-        static_cast<std::uint64_t>(state_col[i]) >= state_count) {
-      throw TraceFormatError("chunk interval references unknown state " +
-                             std::to_string(state_col[i]) + offset_str);
-    }
-    seen_min_end = std::min(seen_min_end, end_col[i]);
-    seen_max_end = std::max(seen_max_end, end_col[i]);
-    if (i + 1 < n &&
-        interval_key_less({begin_col[i + 1], end_col[i + 1], state_col[i + 1]},
-                          {begin_col[i], end_col[i], state_col[i]})) {
-      throw TraceFormatError("chunk columns not sorted by (begin, end, state)" +
-                             offset_str);
-    }
-  }
-  if (seen_min_end != min_end || seen_max_end != max_end) {
-    throw TraceFormatError("chunk fences disagree with columns" + offset_str);
-  }
-  auto payload = std::make_shared<const MappedChunkPayload>(
-      region, begin_col, end_col, state_col);
-  return {static_cast<ResourceId>(ur),
-          std::make_shared<const TraceChunk>(std::move(payload), min_end,
-                                             max_end),
-          record_bytes};
-}
-
-/// Validates and maps one *v2* chunk record: bounds and codec tags first,
+/// Validates and maps one chunk record: bounds and codec tags first,
 /// then the section checksum, then a full streaming decode re-deriving
 /// sort order, state range and all three fences (a compressed section is
 /// only trusted after every varint/dictionary/run in it decoded cleanly).
 /// All-raw records come back as zero-copy mapped columns; anything else
 /// as a compressed chunk streaming from the mapping.
-MappedChunkRecord map_chunk_record_v2(
+MappedChunkRecord map_chunk_record(
     const std::shared_ptr<const MappedRegion>& region, std::size_t pos,
     std::uint64_t region_file_offset, const std::string& path,
     std::uint64_t state_count) {
@@ -444,7 +331,7 @@ MappedChunkRecord map_chunk_record_v2(
                            " (section sizes exceed the file)");
   }
   const std::uint64_t record_bytes =
-      chunk_record_bytes_v2(begin_bytes, end_bytes, state_bytes);
+      chunk_record_bytes(begin_bytes, end_bytes, state_bytes);
   if (record_bytes > remaining) {
     throw TraceFormatError("truncated chunk payload" + offset_str);
   }
@@ -923,13 +810,7 @@ std::shared_ptr<TraceStore> open_chunk_file_store(const std::string& path) {
   const auto region = MappedRegion::map_file(path);
   MapCursor cur{region->data(), region->size(), 0, path};
   cur.need(sizeof kChunkMagic, "chunk file magic");
-  int version = 0;
-  if (std::memcmp(cur.base, kChunkMagic, sizeof kChunkMagic) == 0) {
-    version = 2;
-  } else if (std::memcmp(cur.base, kChunkMagicV1, sizeof kChunkMagicV1) ==
-             0) {
-    version = 1;
-  } else {
+  if (std::memcmp(cur.base, kChunkMagic, sizeof kChunkMagic) != 0) {
     throw TraceFormatError("bad chunk file magic in '" + path + "'");
   }
   cur.pos += sizeof kChunkMagic;
@@ -966,9 +847,7 @@ std::shared_ptr<TraceStore> open_chunk_file_store(const std::string& path) {
   cur.align8();
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
     MappedChunkRecord rec =
-        version == 2
-            ? map_chunk_record_v2(region, cur.pos, 0, path, state_count)
-            : map_chunk_record_v1(region, cur.pos, 0, path, state_count);
+        map_chunk_record(region, cur.pos, 0, path, state_count);
     if (rec.resource < 0 ||
         static_cast<std::uint64_t>(rec.resource) >= resource_count) {
       throw TraceFormatError("chunk record references unknown resource in '" +
@@ -988,8 +867,7 @@ bool is_chunk_file(const std::string& path) {
   if (std::fread(magic, 1, sizeof magic, f.get()) != sizeof magic) {
     return false;
   }
-  return std::memcmp(magic, kChunkMagic, sizeof kChunkMagic) == 0 ||
-         std::memcmp(magic, kChunkMagicV1, sizeof kChunkMagicV1) == 0;
+  return std::memcmp(magic, kChunkMagic, sizeof kChunkMagic) == 0;
 }
 
 std::vector<SpilledChunkRecord> spill_chunks_to_file(
@@ -1041,7 +919,7 @@ std::vector<SpilledChunkRecord> spill_chunks_to_file(
   std::uint64_t total = 0;
   for (const SpillItem& item : items) {
     const ChunkSections sec = chunk_sections(*item.chunk);
-    record_bytes.push_back(chunk_record_bytes_v2(
+    record_bytes.push_back(chunk_record_bytes(
         sec.begin.size(), sec.end.size(), sec.state.size()));
     total += record_bytes.back();
   }
@@ -1051,7 +929,7 @@ std::vector<SpilledChunkRecord> spill_chunks_to_file(
   std::size_t pos = 0;
   for (const std::uint64_t bytes : record_bytes) {
     out.push_back(
-        {map_chunk_record_v2(region, pos, offset, path, state_count).chunk,
+        {map_chunk_record(region, pos, offset, path, state_count).chunk,
          bytes});
     pos += static_cast<std::size_t>(bytes);
   }

@@ -14,16 +14,14 @@
 // a callback) so the microscopic model can be built from traces larger
 // than memory.
 //
-// STGC — versioned columnar chunk files, the dariadb-style sealed-page
-// format an mmapped TraceStore reads in place (little-endian).
-//
-// Version 2 (magic "STGCHK02") — written by this library; each column
-// section carries its own codec tag (trace/compression.hpp):
+// STGC — columnar chunk files, the dariadb-style sealed-page format an
+// mmapped TraceStore reads in place (little-endian).  Each column section
+// carries its own codec tag (trace/compression.hpp):
 //   header:   magic "STGCHK02" | u64 resource_count | u64 state_count
 //             | i64 window_begin | i64 window_end | u64 chunk_count
 //   tables:   as STGT, then zero padding to the next 8-byte boundary
 //   chunks:   chunk_count x chunk record
-// One v2 chunk record (72-byte header; every section start 8-byte aligned
+// One chunk record (72-byte header; every section start 8-byte aligned
 // so raw sections are usable in place):
 //   header:   u32 resource | u8 begin_codec | u8 end_codec | u8 state_codec
 //             | u8 flags (0) | u64 count | i64 min_begin | i64 min_end
@@ -32,21 +30,17 @@
 //   sections: begin section | pad to 8 | end section | pad to 8
 //             | state section | pad to 8
 // The checksum is FNV-1a 64 over the three *unpadded* encoded sections in
-// order (for an all-raw record this equals the v1 column checksum).  An
-// all-raw record opens zero-copy as mapped columns; any other codec
-// combination opens as a compressed (cursor-streamed) chunk pointing into
-// the mapping.  Readers fully streaming-decode every record at open —
+// order.  An all-raw record opens zero-copy as mapped columns; any other
+// codec combination opens as a compressed (cursor-streamed) chunk pointing
+// into the mapping.  Readers fully streaming-decode every record at open —
 // section bounds, checksum, codec tags, varint/dictionary well-formedness,
 // the (begin, end, state) sort order and all three fences — and reject
-// truncation and corruption loudly with the offending file offset.
+// truncation and corruption loudly with the offending file offset.  Files
+// with the retired version-1 magic "STGCHK01" are not chunk files and are
+// rejected with a TraceFormatError naming the path.
 //
-// Version 1 (magic "STGCHK01", 40-byte record header: u32 resource |
-// u32 reserved | u64 count | i64 min_end | i64 max_end | u64 checksum,
-// followed by raw padded columns) is still opened zero-copy; writers
-// always emit v2.
-//
-// The same record layout, behind magics "STGSPL02"/"STGSPL01", makes up a
-// store's append-only spill file.
+// The same record layout, behind magic "STGSPL02", makes up a store's
+// append-only spill file.
 #pragma once
 
 #include <cstddef>

@@ -116,12 +116,6 @@ class Trace {
   /// O(appended log appended) — sealed chunks are never re-sorted.
   void seal() { store_->seal_chunk(); }
 
-  /// Drops every interval ending at or before `cutoff` — intervals that,
-  /// by the half-open [begin, end) convention, can never overlap a window
-  /// starting at `cutoff`.  Used by sliding sessions to bound retained
-  /// memory; sortedness is preserved and an overridden window untouched.
-  void erase_before(TimeNs cutoff) { store_->erase_before_exact(cutoff); }
-
   [[nodiscard]] bool sealed() const noexcept { return store_->sealed(); }
 
   /// Intervals of one resource (sorted by begin after seal(); intervals

@@ -671,53 +671,6 @@ void TraceStore::evict_before(TimeNs cutoff) {
   STAGG_AUDIT(audit());
 }
 
-void TraceStore::erase_before_exact(TimeNs cutoff) {
-  // Deliberately does NOT raise the eviction horizon: erase_before is a
-  // point-in-time operation (the Trace facade contract) and must not
-  // retroactively delete intervals appended after the call.  Only
-  // evict_before — the forward-moving-window API — is sticky.
-  for (Lane& lane : lanes_) {
-    const std::size_t open_from = lane.chunks.size() - lane.open;
-    std::vector<TraceChunkPtr> kept;
-    kept.reserve(lane.chunks.size());
-    lane.open = 0;
-    for (std::size_t i = 0; i < lane.chunks.size(); ++i) {
-      TraceChunkPtr& c = lane.chunks[i];
-      std::size_t added = 0;
-      if (c->min_end() > cutoff) {  // fence proves no dead entry
-        kept.push_back(std::move(c));
-        added = 1;
-      } else {
-        // Straddling or entirely dead: keep the surviving subsequence
-        // (still sorted).
-        std::vector<StateInterval> survivors;
-        if (c->max_end() > cutoff) {
-          survivors.reserve(c->size());
-          for (ChunkCursor cur(*c); cur.valid(); cur.next()) {
-            if (cur.current().end > cutoff) {
-              survivors.push_back(cur.current());
-            }
-          }
-        }
-        note_unlinked(c->payload().get());
-        if (!survivors.empty()) {
-          added = maybe_compress_into(TraceChunk::from_sorted(survivors),
-                                      kept);
-        }
-      }
-      if (i >= open_from) lane.open += added;
-    }
-    lane.chunks = std::move(kept);
-    std::erase_if(lane.tail, [cutoff](const StateInterval& s) {
-      return s.end <= cutoff;
-    });
-  }
-  if (!window_overridden_) sealed_ = false;
-  ++generation_;
-  maybe_compact_spill();
-  STAGG_AUDIT(audit());
-}
-
 void TraceStore::set_window(TimeNs begin, TimeNs end) {
   if (end < begin) throw InvalidArgument("set_window: end < begin");
   begin_ = begin;

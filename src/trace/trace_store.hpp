@@ -564,14 +564,6 @@ class TraceStore {
   /// window, not to everything ever ingested.
   void evict_before(TimeNs cutoff);
 
-  /// Exact per-interval erase (the Trace::erase_before compatibility
-  /// contract): additionally rewrites straddling chunks so that *no*
-  /// interval ending at or before `cutoff` survives.  Chunks whose
-  /// min-end fence clears the cutoff are kept untouched.  Point-in-time:
-  /// unlike evict_before it does not move the eviction horizon, so
-  /// intervals appended afterwards — however old — are retained.
-  void erase_before_exact(TimeNs cutoff);
-
   /// Highest evict_before cutoff seen.  Data at or below it is gone (or
   /// going); readers whose window reaches before it would silently
   /// under-count and must be rejected (sessions check this at attach).
@@ -796,7 +788,7 @@ class TraceStore {
                                   std::vector<TraceChunkPtr>& out) const;
 
   /// Spill-file record accounting: called whenever a chunk leaves its
-  /// lane slot for good (evict, erase, pin, compaction merge) so the
+  /// lane slot for good (evict, pin, compaction merge) so the
   /// record it may own in the spill file is counted dead.
   void note_unlinked(const ChunkPayload* payload);
   /// Compacts the spill file once dead bytes exceed live bytes.
@@ -820,10 +812,8 @@ class TraceStore {
   std::vector<Lane> lanes_;
   TimeNs begin_ = 0;
   TimeNs end_ = 0;
-  /// Highest evict_before cutoff seen (erase_before_exact deliberately
-  /// leaves it alone: erase is point-in-time, eviction is forward-only).
-  /// Compaction may drop any interval ending at or before it — provably
-  /// unreadable by every legal window.
+  /// Highest evict_before cutoff seen.  Compaction may drop any interval
+  /// ending at or before it — provably unreadable by every legal window.
   TimeNs evict_horizon_ = std::numeric_limits<TimeNs>::min();
   bool sealed_ = false;
   bool window_overridden_ = false;

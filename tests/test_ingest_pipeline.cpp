@@ -1,7 +1,7 @@
 // IngestPipeline suite: the staged parse -> seal -> advance pipeline must
 // be *bit-identical* at every sealed watermark to the synchronous
-// append + advance_to loop (which is itself pinned to the kReference /
-// kCachedSolo oracles), and a throttled advance worker must throttle the
+// append + advance_to loop (which is itself pinned to the kReference
+// oracle), and a throttled advance worker must throttle the
 // producer through bounded queues — no drops, no per-resource reorders,
 // no unbounded depth.
 #include "core/ingest_pipeline.hpp"

@@ -269,12 +269,9 @@ void run_random_store_history(std::uint64_t seed, bool spill) {
       }
     } else if (op == 5) {
       store.seal_chunk();
-    } else if (op == 6) {
+    } else if (op == 6 || op == 7) {
       store.seal_chunk();
       store.evict_before(rng.uniform_int(0, cursor + 1));
-    } else if (op == 7) {
-      store.seal_chunk();
-      store.erase_before_exact(rng.uniform_int(0, cursor + 1));
     } else if (op == 8 && spill) {
       store.seal_chunk();
       store.spill_cold(static_cast<std::size_t>(rng.uniform_int(0, 4096)));

@@ -5,7 +5,8 @@
 // extend / contract / refresh operations, the session's results are
 // bit-identical (EXPECT_EQ on doubles, identical partitions) to a
 // from-scratch run_many over the same window — verified against the
-// kReference and kCachedSolo oracles and across lane widths 1/4/8.  The
+// kReference oracle and the production kernel run from scratch, and
+// across lane widths 1/4/8.  The
 // boundary tests pin the half-open edge convention: an event's mass lands
 // in exactly one slice partition, never twice, never zero-plus-twice.
 #include "core/sliding_window.hpp"
@@ -291,9 +292,8 @@ PropertyRunStats drive_random_ops(SlidingWindowSession& session,
     }
     ++stats.ops;
     const std::string context = tag + " op=" + std::to_string(op);
-    expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
-                         context + "/solo");
+    expect_results_equal(session.results(), session.run_from_scratch(),
+                         context + "/scratch");
     if (op % 7 == 3) {
       ++stats.reference_checks;
       expect_results_equal(session.results(),
@@ -433,8 +433,7 @@ TEST(SlidingWindow, ShrinkGrowShrinkCyclesStayExact) {
       session.contract(-delta);
     }
     session.slide(2);
-    expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
+    expect_results_equal(session.results(), session.run_from_scratch(),
                          "cycle delta=" + std::to_string(delta));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
@@ -556,8 +555,8 @@ TEST(SlidingWindow, SlidesMoveNoCellBetweenCompactions) {
 
 TEST(SlidingWindowProperty, CompactionsAndRelayoutsExactAtEveryLaneWidth) {
   // Slides of 1-3 columns (crossing compactions), interleaved extend and
-  // contract (re-layouts) and clean refreshes, at lane widths 1-8 and on
-  // the kCachedSolo kernel: bit-identical to kReference at every step.
+  // contract (re-layouts) and clean refreshes, at lane widths 1-8:
+  // bit-identical to kReference at every step.
   const Hierarchy h = make_balanced_hierarchy(2, 3);
   const Trace full = [&] {
     Trace t = make_synthetic_trace(h, 200.0, 8128);
@@ -565,10 +564,9 @@ TEST(SlidingWindowProperty, CompactionsAndRelayoutsExactAtEveryLaneWidth) {
     return t;
   }();
   const std::vector<double> ps = {0.0, 0.15, 0.3, 0.45, 0.45, 0.6, 0.8, 1.0};
-  for (std::size_t config = 1; config <= kMaxDpLanes + 1; ++config) {
+  for (std::size_t config = 1; config <= kMaxDpLanes; ++config) {
     SlidingWindowOptions opt;
-    opt.aggregation.max_lanes = std::min(config, kMaxDpLanes);
-    if (config > kMaxDpLanes) opt.aggregation.kernel = DpKernel::kCachedSolo;
+    opt.aggregation.max_lanes = config;
     Trace initial;
     Trace source = full;
     EventStream stream =

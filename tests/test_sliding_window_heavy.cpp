@@ -118,9 +118,8 @@ TEST(SlidingWindowHeavy, BenchScaleRandomOpsStayBitIdentical) {
       session.refresh();
     }
     const std::string ctx = "op=" + std::to_string(op);
-    expect_results_equal(session.results(),
-                         session.run_from_scratch(DpKernel::kCachedSolo),
-                         ctx + "/solo");
+    expect_results_equal(session.results(), session.run_from_scratch(),
+                         ctx + "/scratch");
     if (op % 16 == 7) {
       expect_results_equal(session.results(),
                            session.run_from_scratch(DpKernel::kReference),

@@ -98,7 +98,7 @@ TEST(Trace, AppendAfterSealUnsealsAndResorts) {
   EXPECT_EQ(t.intervals(r)[0].begin, 0);
 }
 
-TEST(Trace, EraseBeforeIsHalfOpen) {
+TEST(Trace, EvictBeforeIsHalfOpen) {
   Trace t;
   const ResourceId r = t.add_resource("r");
   t.add_state(r, "s", 0, 10);    // ends exactly at the cutoff: dropped
@@ -106,25 +106,27 @@ TEST(Trace, EraseBeforeIsHalfOpen) {
   t.add_state(r, "s", 10, 10);   // zero-duration at the cutoff: dropped
   t.add_state(r, "s", 10, 12);   // starts at the cutoff: kept
   t.add_state(r, "s", 15, 16);   // strictly after: kept
+  // Unsealed intervals sit in the tail, which eviction filters one
+  // interval at a time.
+  t.store()->evict_before(10);
   t.seal();
-  t.erase_before(10);
   const auto iv = t.intervals(r);
   ASSERT_EQ(iv.size(), 3u);
   EXPECT_EQ(iv[0].end, 11);
   EXPECT_EQ(iv[1].begin, 10);
   EXPECT_EQ(iv[1].end, 12);
   EXPECT_EQ(iv[2].begin, 15);
-  // Sortedness survives: a re-seal must not change the intervals, but it
-  // re-derives the auto-computed window from the survivors (the erased
-  // prefix must no longer stretch it back to 0).
-  t.seal();
-  EXPECT_EQ(t.intervals(r).size(), 3u);
   EXPECT_EQ(t.begin(), 0);  // interval [0, 11) survived
-  t.erase_before(12);
+  // A sealed chunk whose max end equals the cutoff is dead as a whole; the
+  // next seal re-derives the auto-computed window from the survivors (the
+  // evicted prefix must no longer stretch it back to 0).
+  t.add_state(r, "s", 20, 30);
+  t.seal();
+  t.store()->evict_before(16);
   t.seal();
   ASSERT_EQ(t.intervals(r).size(), 1u);
-  EXPECT_EQ(t.begin(), 15);
-  EXPECT_EQ(t.end(), 16);
+  EXPECT_EQ(t.begin(), 20);
+  EXPECT_EQ(t.end(), 30);
 }
 
 TEST(Trace, IncrementalSealMatchesFullSort) {

@@ -6,8 +6,8 @@ Rules (each has an id; suppress a finding with a trailing or preceding
 justification is mandatory):
 
   single-writer    TraceStore write-side methods (add_state, seal_chunk,
-                   evict_before, erase_before_exact, adopt_chunk, spill_cold,
-                   pin, pin_all, set_compression, enable_spill, set_window,
+                   evict_before, adopt_chunk, spill_cold, pin, pin_all,
+                   set_compression, enable_spill, set_window,
                    add_resource) may only be called from the files/functions
                    that own a store's single-writer side: the store itself,
                    the Trace value facade, binary_io's fresh-store readers,
@@ -67,7 +67,6 @@ WRITE_METHODS = (
     "add_state",
     "seal_chunk",
     "evict_before",
-    "erase_before_exact",
     "adopt_chunk",
     "spill_cold",
     "pin",
